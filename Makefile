@@ -8,8 +8,8 @@ verify:
 test:
 	PYTHONPATH=src python -m pytest -x -q
 
-# Fault-injection replay suite: FLOW runs under injected worker
-# crashes/hangs/corruption must stay bit-identical to fault-free runs.
+# Chaos suite: SIGKILLed service and cluster processes and severed
+# network links must still finish every job bit-identically.
 chaos:
 	PYTHONPATH=src python -m pytest -m chaos -q
 

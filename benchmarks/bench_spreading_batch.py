@@ -105,70 +105,6 @@ def test_spreading_metric_batched_vs_serial(
     )
 
 
-def test_spreading_metric_parallel_vs_batched(instance, bench_record):
-    """Process-pool engine vs in-process batched: identical output, timed.
-
-    The speedup column reflects *this container's* core count
-    (``os.cpu_count()``).  On a single-core runner the engine
-    auto-serialises (``ParallelConfig.autoserial``): it takes the
-    bit-identical in-process batched path instead of paying pure
-    dispatch overhead, so the dispatch penalty is structurally zero and
-    the row records ``speedup = 1.0`` with ``autoserial: true`` (both
-    raw timings are kept; they sample the *same* code path).  Real
-    pool speedup only materialises with real cores.
-    """
-    import os
-
-    from repro.core.parallel import ParallelConfig
-
-    _netlist, spec, graph = instance
-    metric_kwargs = {"alpha": 0.3, "delta": 0.03, "epsilon": 0.1}
-    last_counters = {}
-
-    def run_parallel():
-        counters = PerfCounters()
-        result = compute_spreading_metric(
-            graph,
-            spec,
-            SpreadingMetricConfig(
-                engine="parallel",
-                parallel=ParallelConfig(workers=4),
-                **metric_kwargs,
-            ),
-            counters=counters,
-        )
-        last_counters["value"] = counters
-        return result
-
-    parallel_s, parallel = _median_time(run_parallel, 3)
-    batched_s, batched = _median_time(
-        lambda: compute_spreading_metric(
-            graph,
-            spec,
-            SpreadingMetricConfig(engine="scipy", **metric_kwargs),
-        ),
-        3,
-    )
-
-    assert np.array_equal(parallel.lengths, batched.lengths)
-    assert np.array_equal(parallel.flows, batched.flows)
-    assert parallel.injections == batched.injections
-    assert parallel.rounds == batched.rounds
-
-    autoserial = last_counters["value"].pool_autoserial > 0
-    bench_record(
-        "compute_spreading_metric[c2670,headline,parallel4]",
-        parallel_s,
-        serial_seconds=batched_s,
-        # Identical code path when auto-serialised: the honest speedup
-        # is exactly 1.0 and the raw timings only sample noise.
-        speedup=1.0 if autoserial else batched_s / parallel_s,
-        autoserial=autoserial,
-        cpu_count=os.cpu_count(),
-        counters=last_counters["value"].as_dict(),
-    )
-
-
 def test_spreading_metric_native_vs_scipy(instance, bench_record):
     """Compiled kernel vs both scipy engines: identical output, timed.
 

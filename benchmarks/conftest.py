@@ -58,8 +58,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
-            # Context the engine rows need to be interpretable: a 1-core
-            # container auto-serialises the parallel engine, and the
+            # Context the engine rows need to be interpretable: the
             # native row only exists when a compiler built the kernel.
             "cpu_count": os.cpu_count(),
             "compiler": shutil.which("cc") or shutil.which("gcc"),

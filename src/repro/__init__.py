@@ -52,7 +52,6 @@ from repro.core import (
     FlowHTPConfig,
     FlowHTPResult,
     LPResult,
-    ParallelConfig,
     SpreadingMetricConfig,
     SpreadingMetricResult,
     SpreadingOracle,
@@ -113,7 +112,6 @@ __all__ = [
     "FlowHTPConfig",
     "FlowHTPResult",
     "flow_htp",
-    "ParallelConfig",
     "LPResult",
     "solve_spreading_lp",
     "FMConfig",

@@ -33,10 +33,8 @@ from repro.analysis.experiments import (
     table2_to_table,
     table3_to_table,
 )
-from repro.core.faults import FaultPlan, FaultPlanError
 from repro.errors import ReproError
 from repro.core.flow_htp import FlowHTPConfig, flow_htp
-from repro.core.parallel import ParallelConfig
 from repro.core.lp import solve_spreading_lp
 from repro.core.spreading_metric import SpreadingMetricConfig
 from repro.htp.cost import total_cost
@@ -53,6 +51,11 @@ from repro.hypergraph.generators import (
 )
 from repro.partitioning.gfm import gfm_partition
 from repro.partitioning.htp_fm import htp_fm_improve
+from repro.partitioning.multilevel_flow import (
+    SOLVER_ENGINES,
+    MultilevelFlowConfig,
+    multilevel_flow_htp,
+)
 from repro.partitioning.rfm import rfm_partition
 
 
@@ -69,14 +72,6 @@ def _positive_int(value: str) -> int:
             f"{value!r} must be at least 1"
         )
     return parsed
-
-
-def _fault_plan(value: str) -> FaultPlan:
-    """argparse type for ``--fault-plan`` strings."""
-    try:
-        return FaultPlan.parse(value)
-    except FaultPlanError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,14 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--iterations", type=int, default=2)
     part.add_argument(
         "--engine",
-        choices=[
-            "scipy",
-            "scipy-serial",
-            "python",
-            "parallel",
-            "native",
-            "multilevel-flow",
-        ],
+        choices=SOLVER_ENGINES,
         default="scipy",
         help="spreading-metric engine (flow algorithm only); all engines "
         "produce identical results for a fixed seed ('native' needs the "
@@ -162,21 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="multilevel-flow: refinement sweeps per uncoarsening level "
         "(default 3)",
-    )
-    part.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="worker processes for --engine parallel (default: cpu count)",
-    )
-    part.add_argument(
-        "--fault-plan",
-        type=_fault_plan,
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault injection for --engine parallel, e.g. "
-        "'fail:task@dispatch=0;hang:task@dispatch=1,duration=2' — results "
-        "are bit-identical to the fault-free run (chaos reproduction aid)",
     )
     part.add_argument(
         "--improve", action="store_true", help="run FM improvement afterwards"
@@ -255,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=["rfm", "flow"], default="rfm"
     )
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="evaluate candidate hierarchies in worker processes",
-    )
 
     separator = sub.add_parser("separator", help="compute a rho-separator")
     separator.add_argument("input", help="input netlist path")
@@ -481,21 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--iterations", type=_positive_int, default=2)
     submit.add_argument(
         "--engine",
-        choices=[
-            "scipy",
-            "scipy-serial",
-            "python",
-            "parallel",
-            "native",
-            "multilevel-flow",
-        ],
+        choices=SOLVER_ENGINES,
         default="scipy",
-    )
-    submit.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="worker processes for --engine parallel",
     )
     submit.add_argument(
         "--timeout",
@@ -605,12 +559,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    if args.fault_plan is not None and args.engine != "parallel":
-        print(
-            "error: --fault-plan requires --engine parallel",
-            file=sys.stderr,
-        )
-        return 2
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -632,18 +580,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.partitioning.multilevel_flow import (
-            MultilevelFlowConfig,
-            multilevel_flow_htp,
-        )
-
         config = MultilevelFlowConfig(
             coarsest_size=args.coarsest_size,
             cluster_fraction=args.cluster_fraction,
             corridor_hops=args.corridor_hops,
             refine_passes=args.refine_passes,
-            engine="parallel" if args.workers else "scipy",
-            workers=args.workers,
             seed=args.seed,
         )
         result = multilevel_flow_htp(netlist, spec, config)
@@ -655,18 +596,12 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         if args.perf and result.perf is not None:
             print(f"perf: {result.perf.summary()}")
     elif args.algorithm == "flow":
-        parallel = None
-        if args.engine == "parallel":
-            parallel = ParallelConfig(
-                workers=args.workers, fault_plan=args.fault_plan
-            )
         config = FlowHTPConfig(
             iterations=args.iterations,
             seed=args.seed,
             metric=SpreadingMetricConfig(
                 delta=0.05, max_rounds=200, engine=args.engine
             ),
-            parallel=parallel,
         )
         result = flow_htp(
             netlist,
@@ -678,8 +613,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
         tree, cost = result.partition, result.cost
         print(f"FLOW cost: {cost:g}  ({result.runtime_seconds:.1f}s)")
-        if args.fault_plan is not None:
-            print(f"fault plan: {args.fault_plan.describe()}")
         if args.perf and result.perf is not None:
             print(f"perf: {result.perf.summary()}")
     elif args.algorithm == "gfm":
@@ -800,17 +733,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     netlist = _load_netlist_checked(args.input)
     if netlist is None:
         return 2
-    parallel = (
-        ParallelConfig(workers=args.workers)
-        if args.workers is not None
-        else None
-    )
     candidates = search_hierarchies(
         netlist,
         heights=tuple(args.heights),
         algorithm=args.algorithm,
         seed=args.seed,
-        parallel=parallel,
     )
     for candidate in candidates:
         flag = "" if candidate.valid else "  (INVALID)"
@@ -993,7 +920,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             "iterations": args.iterations,
             "seed": args.seed,
             "engine": args.engine,
-            "workers": args.workers,
         },
     )
     client = ServiceClient(url)

@@ -10,10 +10,6 @@
   the Prim-based ``find_cut``.
 * :mod:`repro.core.flow_htp` — Algorithm 1, the FLOW driver (plus the
   multiple-constructions-per-metric extension from the conclusions).
-* :mod:`repro.core.parallel` — the process-parallel engine tier: a
-  persistent shared-memory worker pool for violation checks and a
-  deterministic fan-out helper for the embarrassingly-parallel outer
-  loops.
 * :mod:`repro.core.lp` — the exact linear program (P1) solved by cutting
   planes (Lemmas 1 and 2).
 * :mod:`repro.core.checkpoint` — crash-safe durability: atomic,
@@ -38,7 +34,6 @@ from repro.core.spreading_metric import (
 from repro.core.construct import construct_partition, find_cut
 from repro.core.flow_htp import FlowHTPConfig, FlowHTPResult, flow_htp
 from repro.core.lp import LPResult, solve_spreading_lp
-from repro.core.parallel import MetricWorkerPool, ParallelConfig, parallel_map
 from repro.core.separator import (
     SeparatorResult,
     multiway_from_separator,
@@ -66,9 +61,6 @@ __all__ = [
     "flow_htp",
     "LPResult",
     "solve_spreading_lp",
-    "MetricWorkerPool",
-    "ParallelConfig",
-    "parallel_map",
     "SeparatorResult",
     "rho_separator",
     "multiway_from_separator",

@@ -68,11 +68,10 @@ class NativeMetricKernel:
     """Per-source first-violation queries answered by the C kernel.
 
     Construction pins the CSR *structure* (indptr / indices / the data-
-    position-to-edge-id map) into kernel-private int64 copies that no
-    shared-memory writer can touch.  The CSR *weights* are re-fetched
-    from ``graph.csr_structure()`` on every call, so the kernel always
-    sees the coordinator's current metric — including in-place patches
-    and pool repairs that replace the data array object.
+    position-to-edge-id map) into kernel-private int64 copies.  The CSR
+    *weights* are re-fetched from ``graph.csr_structure()`` on every
+    call, so the kernel always sees the oracle's current metric —
+    including in-place patches and re-installs.
 
     The kernel never prices lengths itself: ``np.expm1`` is not
     guaranteed bitwise-equal to libm's ``expm1``, so repricing stays in
@@ -129,24 +128,17 @@ class NativeMetricKernel:
             float(tol),
         )
 
-    def check(
-        self,
-        source: int,
-        out_row: Optional[np.ndarray] = None,
-    ) -> Tuple[int, Optional[Violation]]:
+    def check(self, source: int) -> Tuple[int, Optional[Violation]]:
         """First violated prefix anchored at ``source``.
 
         Returns ``(settled, violation)`` where ``settled`` is how many
         nodes the early-exiting search actually settled and ``violation``
-        matches the scipy engines bit for bit (or is None).  When
-        ``out_row`` (a float64 vector prefilled with ``+inf``) is given,
-        the settled distances are written into it — pool workers use
-        this to ship partial distance rows for snapshot reuse.
+        matches the scipy engines bit for bit (or is None).
         """
         matrix, _slots = self._graph.csr_structure()
         data = np.asarray(matrix.data)
         settled, k, nodes, tree_edges, lhs, rhs = _native.check(
-            self._state, data, int(source), out_row
+            self._state, data, int(source)
         )
         if k == 0:
             return settled, None

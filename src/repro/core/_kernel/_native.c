@@ -26,14 +26,12 @@
  *   neighbours with dist[v] + d(v,w) == dist[w], exact float64), the
  *   same rule as SpreadingOracle._canonical_tree_edges.
  *
- * Robustness: the CSR data array is shared memory under the parallel
- * engine and the chaos harness deliberately scribbles on it.  The kernel
- * must therefore never crash or loop on garbage lengths (negative, NaN,
- * inf): the heap is capacity-bounded, NaN relaxations are rejected by
- * the `nd <= limit` filter, settled nodes never resettle, and a
+ * Robustness: the kernel reads a CSR data array it does not own, so it
+ * must never crash or loop on garbage lengths (negative, NaN, inf): the
+ * heap is capacity-bounded, NaN relaxations are rejected by the
+ * `nd <= limit` filter, settled nodes never resettle, and a
  * canonical-parent miss (impossible on consistent data) degrades to a
- * structurally valid placeholder — corrupted verdicts are discarded by
- * the pool's dispatch checksum anyway.
+ * structurally valid placeholder.
  */
 #define PY_SSIZE_T_CLEAN
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
@@ -331,10 +329,9 @@ scan_plateau(KernelState *st, npy_int64 plateau_len, npy_int64 *settled,
 static PyObject *
 kernel_check(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *capsule, *data_obj, *row_obj;
+    PyObject *capsule, *data_obj;
     long long source_arg;
-    if (!PyArg_ParseTuple(args, "OOLO", &capsule, &data_obj, &source_arg,
-                          &row_obj)) {
+    if (!PyArg_ParseTuple(args, "OOL", &capsule, &data_obj, &source_arg)) {
         return NULL;
     }
     KernelState *st = (KernelState *)PyCapsule_GetPointer(capsule, "repro._kernel");
@@ -345,13 +342,6 @@ kernel_check(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     }
     const double *data = (const double *)PyArray_DATA((PyArrayObject *)data_obj);
-    double *row = NULL;
-    if (row_obj != Py_None) {
-        if (!check_array(row_obj, NPY_FLOAT64, st->n, "out_row")) {
-            return NULL;
-        }
-        row = (double *)PyArray_DATA((PyArrayObject *)row_obj);
-    }
     npy_int64 source = (npy_int64)source_arg;
     if (source < 0 || source >= st->n) {
         PyErr_SetString(PyExc_ValueError, "source out of range");
@@ -421,17 +411,6 @@ kernel_check(PyObject *Py_UNUSED(self), PyObject *args)
     if (viol_k < 0 && plateau_len > 0) {
         scan_plateau(st, plateau_len, &settled, &cum_size, &lhs, &viol_k,
                      &viol_lhs, &viol_rhs);
-    }
-
-    if (row != NULL) {
-        /* Settled prefix only; the caller prefills the row with +inf.
-         * Note: plateau members past an early exit were popped but not
-         * flushed into `order`; report settled (= flushed) nodes only,
-         * which is exactly the prefix the exactness proof covers. */
-        for (npy_int64 i = 0; i < settled; i++) {
-            npy_int64 v = st->order[i];
-            row[v] = st->dist[v];
-        }
     }
 
     if (viol_k < 0) {
@@ -519,7 +498,7 @@ static PyMethodDef kernel_methods[] = {
      "init(n, indptr, indices, entry_edge, sizes, unit_bounds, capacities, "
      "weights, num_levels, limit, tol) -> state capsule"},
     {"check", kernel_check, METH_VARARGS,
-     "check(state, data, source, out_row) -> (settled, k, nodes, tree_edges, "
+     "check(state, data, source) -> (settled, k, nodes, tree_edges, "
      "lhs, rhs); k == 0 means no violation"},
     {NULL, NULL, 0, NULL},
 };

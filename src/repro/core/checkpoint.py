@@ -331,10 +331,10 @@ def run_fingerprint(hypergraph, spec, config) -> str:
     """SHA-256 identifying *which* run a checkpoint belongs to.
 
     Covers the netlist, the hierarchy and every config knob that changes
-    the solve trajectory.  The engine and worker count are deliberately
-    excluded: all engines are bit-identical for a fixed seed, so a run
-    checkpointed under ``scipy`` may resume under ``parallel`` (and vice
-    versa) without breaking the identity guarantee.
+    the solve trajectory.  The engine is deliberately excluded: all
+    engines are bit-identical for a fixed seed, so a run checkpointed
+    under ``scipy`` may resume under ``native`` (and vice versa) without
+    breaking the identity guarantee.
     """
     doc = {
         "netlist": {

@@ -57,7 +57,7 @@ engines therefore derive tree edges from the distance array alone: the
 minimising ``(dist[v], v)`` lexicographically among those with
 ``dist[v] + d(v, w) == dist[w]`` in float arithmetic.  The Dijkstra
 parent always qualifies, so a canonical parent always exists, and every
-engine — scipy, pure Python, the native C kernel, pool workers —
+engine — scipy, pure Python, the native C kernel —
 extracts the exact same tree without replicating any heap's tie order.
 
 The batched round loop's snapshot-reuse test is built on the same
@@ -203,22 +203,13 @@ class SpreadingOracle:
         Numerical slack when comparing constraint sides.
     counters : PerfCounters, optional
         Instrumentation sink; incremented on every query.
-    manage_csr : bool, optional
-        When True (default) the oracle owns the graph's shared CSR weight
-        cache and (re)installs its floored metric before every query.
-        Pool workers pass False: their CSR ``data`` array is a shared-
-        memory view kept current by the coordinating process, and a local
-        install would clobber it.  Externally-managed oracles must never
-        call :meth:`set_lengths` / :meth:`update_lengths`.
 
     Notes
     -----
     **Engine equivalence guarantee.**  For a fixed metric, every query
     (``violation_for``, ``batch_check``, ``violations_for_batch``) returns
     bit-identical results across the ``scipy`` and ``python`` engines, for
-    any batch split, and whether answered in-process or by a pool worker
-    over the shared CSR arrays — asserted in
-    ``tests/test_batched_oracle.py`` and ``tests/test_parallel_engine.py``.
+    any batch split — asserted in ``tests/test_batched_oracle.py``.
     """
 
     def __init__(
@@ -228,7 +219,6 @@ class SpreadingOracle:
         engine: str = "scipy",
         tol: float = DEFAULT_TOL,
         counters: Optional[PerfCounters] = None,
-        manage_csr: bool = True,
     ) -> None:
         if engine not in ("scipy", "python"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -237,7 +227,6 @@ class SpreadingOracle:
         self._engine = engine
         self._tol = tol
         self._counters = counters
-        self._manage_csr = manage_csr
         self._lengths = np.zeros(graph.num_edges, dtype=float)
         self._floored = np.full(graph.num_edges, MIN_CSR_LENGTH, dtype=float)
         self._csr_token: Optional[int] = None
@@ -286,13 +275,8 @@ class SpreadingOracle:
 
     @property
     def counters(self) -> Optional[PerfCounters]:
-        """The instrumentation sink (settable; pool workers swap in a
-        fresh struct per task so per-task deltas can be shipped back)."""
+        """The instrumentation sink."""
         return self._counters
-
-    @counters.setter
-    def counters(self, counters: Optional[PerfCounters]) -> None:
-        self._counters = counters
 
     @property
     def tol(self) -> float:
@@ -301,12 +285,6 @@ class SpreadingOracle:
 
     def set_lengths(self, lengths: Sequence[float]) -> None:
         """Install a metric (copied); lengths are indexed by edge id."""
-        if not self._manage_csr:
-            raise RuntimeError(
-                "this oracle's CSR weights are externally managed "
-                "(manage_csr=False); the coordinating process owns the "
-                "metric"
-            )
         arr = np.asarray(lengths, dtype=float)
         if arr.shape != (self._graph.num_edges,):
             raise ValueError(
@@ -329,12 +307,6 @@ class SpreadingOracle:
         but O(k) instead of O(m): the cached metric, its floored copy and
         the shared CSR ``data`` slots are all patched in place.
         """
-        if not self._manage_csr:
-            raise RuntimeError(
-                "this oracle's CSR weights are externally managed "
-                "(manage_csr=False); the coordinating process owns the "
-                "metric"
-            )
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         self._lengths[edge_ids] = values
@@ -553,31 +525,11 @@ class SpreadingOracle:
     def install_weights(self):
         """Ensure the floored metric is installed in the CSR cache.
 
-        Returns the ready-to-query CSR matrix.  The pool coordinator
-        calls this before fanning a batch out so that workers (who read
-        the same ``data`` array through shared memory) see the current
-        metric; it is a no-op when this oracle's weights are already the
-        installed generation.
+        Returns the ready-to-query CSR matrix.  The native engine calls
+        this before its loop so the kernel, which reads the CSR ``data``
+        array directly, sees the current metric; it is a no-op when this
+        oracle's weights are already the installed generation.
         """
-        return self._csr_matrix()
-
-    def reinstall_weights(self):
-        """Force a full re-install of the floored metric into the CSR cache.
-
-        The repair path of the fault-tolerant pool: when a worker has
-        scribbled on the shared CSR ``data`` array (detected by the
-        coordinator's dispatch checksum), this rewrites every slot from
-        the oracle's private ``_floored`` copy — the coordinator's
-        metric is the single source of truth, so the shared view is
-        restored exactly.  Returns the repaired CSR matrix.
-        """
-        if not self._manage_csr:
-            raise RuntimeError(
-                "this oracle's CSR weights are externally managed "
-                "(manage_csr=False); only the coordinating process may "
-                "repair them"
-            )
-        self._csr_token = None
         return self._csr_matrix()
 
     def _csr_matrix(self):
@@ -585,13 +537,8 @@ class SpreadingOracle:
 
         The graph's weight token detects other writers (a second oracle,
         a test poking ``set_csr_weights``); only then is the full O(m)
-        re-install paid.  Externally-managed oracles (``manage_csr=False``,
-        the pool workers) never install — their ``data`` array is kept
-        current by the coordinating process.
+        re-install paid.
         """
-        if not self._manage_csr:
-            matrix, _slots = self._graph.csr_structure()
-            return matrix
         if self._csr_token != self._graph.csr_weights_token:
             matrix = self._graph.set_csr_weights(self._floored)
             self._csr_token = self._graph.csr_weights_token
@@ -704,14 +651,8 @@ class SpreadingOracle:
         dn = dist[nbrs]
         target = np.repeat(dist[heads], counts)
         on_path = np.isfinite(dn) & (dn + data[positions] == target)
-        # Rank candidates (per owner) by the canonical (dist, id) key;
-        # off-path entries sort behind every on-path one, so a head whose
-        # candidate set is empty — possible only when shared CSR state
-        # was scribbled between the Dijkstra and this scan (the chaos
-        # corruption fault) — degrades to a structurally valid
-        # placeholder parent.  The dispatch checksum discards such
-        # verdicts and re-runs cleanly after repair, exactly as with the
-        # old predecessor-based extraction.
+        # Rank candidates (per owner) by the canonical (dist, id) key,
+        # with off-path entries sorted behind every on-path one.
         order = np.lexsort((nbrs, dn, ~on_path, owner))
         first = np.searchsorted(owner[order], np.arange(heads.size))
         best = order[first]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.heap import IndexedHeap
 from repro.algorithms.union_find import UnionFind
@@ -35,9 +35,6 @@ from repro.htp.hierarchy import HierarchySpec
 from repro.htp.partition import PartitionTree
 from repro.hypergraph.graph import Graph
 from repro.hypergraph.hypergraph import Hypergraph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.parallel import ParallelConfig
 
 #: Cap on the number of MST subtree candidates whose cut is evaluated.
 DEFAULT_MAX_CUT_EVALS = 64
@@ -500,9 +497,7 @@ def _carve_block(
 
     Every child block recurses with an *independent* RNG derived from a
     seed drawn in piece order, so sibling subtrees are pure functions of
-    their (piece, seed) pair — the property that lets the top level fan
-    children out across processes while staying bit-identical to the
-    serial recursion.
+    their (piece, seed) pair and never share RNG state.
     """
     if level == 0:
         return list(nodes)
@@ -536,39 +531,6 @@ def _carve_block(
     ]
 
 
-def _carve_child_task(payload):
-    """Process-pool task: carve one top-level child subtree.
-
-    Returns ``(nested_structure, counters)`` so the coordinator can graft
-    the subtree in child order and merge the instrumentation.
-    """
-    (
-        hypergraph,
-        graph,
-        spec,
-        lengths,
-        piece,
-        level,
-        seed,
-        find_cut_restarts,
-        strategy,
-    ) = payload
-    counters = PerfCounters()
-    nested = _carve_block(
-        hypergraph,
-        graph,
-        spec,
-        lengths,
-        piece,
-        level,
-        random.Random(seed),
-        find_cut_restarts,
-        strategy,
-        counters,
-    )
-    return nested, counters
-
-
 def construct_partition(
     hypergraph: Hypergraph,
     graph: Graph,
@@ -578,7 +540,6 @@ def construct_partition(
     find_cut_restarts: int = 1,
     strategy: str = "both",
     counters: Optional[PerfCounters] = None,
-    parallel: Optional["ParallelConfig"] = None,
 ) -> PartitionTree:
     """Algorithm 3: top-down recursive construction of a partition.
 
@@ -603,14 +564,7 @@ def construct_partition(
     strategy : {'both', 'prim', 'mst'}, optional
         The ``find_cut`` strategy (see module docstring).
     counters : PerfCounters, optional
-        Instrumentation sink (``cut_evals``, pool events).
-    parallel : repro.core.parallel.ParallelConfig, optional
-        When given, the root's child subtrees are carved by worker
-        processes (:func:`repro.core.parallel.parallel_map`) and grafted
-        in child order.  **Engine equivalence guarantee:** the result is
-        bit-identical to the serial recursion for any worker count,
-        because each child is a pure function of its (piece, seed) pair
-        and the merge preserves piece order.
+        Instrumentation sink (``cut_evals``).
 
     Returns
     -------
@@ -622,63 +576,16 @@ def construct_partition(
             "graph and hypergraph disagree on the node set (star-expanded "
             "graphs cannot drive construction)"
         )
-    rng = rng or random.Random(0)
-    level = spec.num_levels
-    all_nodes = list(hypergraph.nodes())
-
-    pieces = _split_block(
+    nested = _carve_block(
         hypergraph,
         graph,
         spec,
         lengths,
-        all_nodes,
-        level,
-        rng,
+        list(hypergraph.nodes()),
+        spec.num_levels,
+        rng or random.Random(0),
         find_cut_restarts,
         strategy,
         counters,
     )
-    child_seeds = [rng.randrange(2**31) for _ in pieces]
-
-    if parallel is not None and level > 1 and len(pieces) > 1:
-        from repro.core.parallel import parallel_map
-
-        payloads = [
-            (
-                hypergraph,
-                graph,
-                spec,
-                lengths,
-                piece,
-                level - 1,
-                seed,
-                find_cut_restarts,
-                strategy,
-            )
-            for piece, seed in zip(pieces, child_seeds)
-        ]
-        outcomes = parallel_map(
-            _carve_child_task, payloads, parallel=parallel, counters=counters
-        )
-        nested = []
-        for child_nested, child_counters in outcomes:
-            nested.append(child_nested)
-            if counters is not None:
-                counters.merge(child_counters)
-    else:
-        nested = [
-            _carve_block(
-                hypergraph,
-                graph,
-                spec,
-                lengths,
-                piece,
-                level - 1,
-                random.Random(seed),
-                find_cut_restarts,
-                strategy,
-                counters,
-            )
-            for piece, seed in zip(pieces, child_seeds)
-        ]
     return PartitionTree.from_nested(nested, num_nodes=hypergraph.num_nodes)

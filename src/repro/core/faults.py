@@ -1,60 +1,23 @@
-"""Named fault-injection points for the fault-tolerant execution layer.
+"""Fault-DSL parsing helpers and the shared recovery budgets.
 
-Long-running flow solvers meet real failures: a worker process dies, a
-task wedges on a slow machine, a shared-memory page gets scribbled on.
-The hardened :class:`~repro.core.parallel.MetricWorkerPool` survives all
-of them through a degradation ladder (retry task -> respawn worker ->
-shrink pool -> serial); this module provides the *controlled* failures
-that prove it — deterministic, seedable faults that the chaos harness
-(``tests/chaos/``) replays while asserting the run stays bit-identical
-to the fault-free one.
+Two small pieces are shared across the repo:
 
-A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each naming
-
-* a **kind** — ``fail`` (raise :class:`InjectedFault`), ``die`` (the
-  worker process exits abruptly, breaking the executor), ``hang`` (sleep
-  for ``duration`` seconds, tripping the per-task deadline) or
-  ``corrupt`` (scribble on the shared CSR ``data`` array, tripping the
-  coordinator's checksum);
-* a **site** — ``task`` (inside a worker, per slice) or ``dispatch``
-  (coordinator-side, before a batch fan-out);
-* **coordinates** that select *when* it fires: ``dispatch`` (batched
-  sub-round index), ``task`` (slice index within the dispatch),
-  ``round`` (Algorithm-2 round) and ``attempt`` (retry number).  Omitted
-  ``dispatch``/``task``/``round`` match everything; an omitted
-  ``attempt`` matches only attempt 0 so that retries recover by default;
-* an optional probability ``p`` drawn deterministically from the plan
-  seed and the coordinates, so probabilistic chaos replays exactly.
-
-Plans parse from a compact string (the CLI's ``--fault-plan``)::
-
-    fail:task@dispatch=0,task=1
-    die:task@dispatch=1
-    hang:task@dispatch=0,duration=3
-    corrupt:task@round=2;fail:task@p=0.25
-
-Everything here is pure and picklable: specs travel to worker processes
-in the pool's start-up payload, and firing decisions depend only on
-``(plan seed, spec index, site, coordinates)`` — never on wall clock,
-pids or scheduling order.
+* the compact fault DSL, ``kind:site[@k=v,...];...`` — :func:`split_plan`
+  splits a plan string into raw spec triples and
+  :func:`deterministic_uniform` turns ``(seed, spec index, site,
+  coordinates)`` into a reproducible probabilistic firing decision.  The
+  network fault proxy (:mod:`repro.testing.netfaults`) layers its own
+  vocabulary on top, so a replayed chaos drill injects exactly the same
+  faults;
+* :class:`FaultTolerance`, the retry/backoff/deadline budgets used by the
+  job service, its HTTP client and the cluster agent.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
-
-#: Fault kinds a spec may request.
-KINDS = ("fail", "die", "hang", "corrupt")
-
-#: Injection sites instrumented by the pool.
-SITES = ("task", "dispatch")
-
-#: Coordinate keys a spec may constrain.
-COORD_KEYS = ("dispatch", "task", "round", "attempt")
+from typing import Dict, Optional
 
 
 class FaultPlanError(ValueError):
@@ -65,10 +28,8 @@ def split_plan(text: str):
     """Split a ``kind:site[@k=v,...];...`` plan into raw spec triples.
 
     Returns ``[(kind, site, {key: raw_value}), ...]`` with every value
-    still a string.  This is the shared surface of the fault DSL: the
-    worker-pool :class:`FaultPlan` below and the network fault plans in
-    :mod:`repro.testing.netfaults` both layer their own vocabulary and
-    value typing on top of the same split.
+    still a string; :mod:`repro.testing.netfaults` layers its own
+    vocabulary and value typing on top.
     """
     chunks = []
     for chunk in text.split(";"):
@@ -100,9 +61,9 @@ def split_plan(text: str):
 def deterministic_uniform(seed, index, site, coords) -> float:
     """A uniform draw in [0, 1) that is a pure function of its inputs.
 
-    ``coords`` is a sequence of ``(key, value)`` pairs.  Both fault DSLs
-    route their probabilistic firing decisions through this one hash so
-    a replay with the same seed injects exactly the same faults.
+    ``coords`` is a sequence of ``(key, value)`` pairs.  Probabilistic
+    firing decisions route through this one hash so a replay with the
+    same seed injects exactly the same faults.
     """
     key = ":".join(
         [str(seed), str(index), str(site)]
@@ -112,228 +73,27 @@ def deterministic_uniform(seed, index, site, coords) -> float:
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-class InjectedFault(RuntimeError):
-    """The exception raised by a ``fail`` fault.
-
-    Carries the site and coordinates it fired at so degradation records
-    (and chaos tests) can assert on the cause.
-    """
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One deterministic fault: what to do, where, and when.
-
-    Attributes
-    ----------
-    kind:
-        ``'fail'``, ``'die'``, ``'hang'`` or ``'corrupt'``.
-    site:
-        ``'task'`` (worker-side) or ``'dispatch'`` (coordinator-side).
-    where:
-        Sorted ``(key, value)`` coordinate constraints.  Keys from
-        :data:`COORD_KEYS`; a missing ``dispatch``/``task``/``round``
-        matches every value, a missing ``attempt`` matches only 0.
-    p:
-        Firing probability in (0, 1]; drawn deterministically from the
-        plan seed and the coordinates.
-    duration:
-        Sleep seconds for ``hang`` faults (ignored otherwise).
-    """
-
-    kind: str
-    site: str
-    where: Tuple[Tuple[str, int], ...] = ()
-    p: float = 1.0
-    duration: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise FaultPlanError(
-                f"unknown fault kind {self.kind!r} (choose from {KINDS})"
-            )
-        if self.site not in SITES:
-            raise FaultPlanError(
-                f"unknown fault site {self.site!r} (choose from {SITES})"
-            )
-        if self.kind in ("die", "corrupt", "hang") and self.site != "task":
-            raise FaultPlanError(
-                f"{self.kind!r} faults only make sense at site 'task'"
-            )
-        for key, _value in self.where:
-            if key not in COORD_KEYS:
-                raise FaultPlanError(
-                    f"unknown coordinate {key!r} (choose from {COORD_KEYS})"
-                )
-        if not 0.0 < self.p <= 1.0:
-            raise FaultPlanError("p must be in (0, 1]")
-        if self.duration <= 0:
-            raise FaultPlanError("duration must be positive")
-
-    def matches(self, site: str, coords: Mapping[str, int]) -> bool:
-        """True when this spec's site and coordinates select ``coords``."""
-        if site != self.site:
-            return False
-        constrained = dict(self.where)
-        for key in COORD_KEYS:
-            actual = coords.get(key)
-            if key in constrained:
-                if actual is None or int(actual) != constrained[key]:
-                    return False
-            elif key == "attempt" and actual not in (None, 0):
-                # Unconstrained attempts match only the first try, so a
-                # plan is recoverable unless it asks not to be.
-                return False
-        return True
-
-    def describe(self) -> str:
-        """The spec back in ``--fault-plan`` syntax."""
-        conds = [f"{key}={value}" for key, value in self.where]
-        if self.p < 1.0:
-            conds.append(f"p={self.p:g}")
-        if self.kind == "hang":
-            conds.append(f"duration={self.duration:g}")
-        suffix = "@" + ",".join(conds) if conds else ""
-        return f"{self.kind}:{self.site}{suffix}"
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """An immutable, seedable collection of fault specs.
-
-    Firing is a pure function of ``(seed, spec index, site, coords)``:
-    probabilistic specs hash those into a uniform draw, so the same plan
-    injects the same faults on every replay — the property the chaos
-    harness's bit-identity assertions rest on.
-    """
-
-    specs: Tuple[FaultSpec, ...] = ()
-    seed: int = 0
-
-    @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
-        """Parse ``kind:site[@k=v,...]`` specs joined by ``;``.
-
-        Raises :class:`FaultPlanError` (a ``ValueError``, so argparse
-        ``type=`` integration reports it cleanly) on malformed input.
-        """
-        specs = []
-        for kind, site, conditions in split_plan(text):
-            where: Dict[str, int] = {}
-            p = 1.0
-            duration = 5.0
-            for key, value in conditions.items():
-                try:
-                    if key == "p":
-                        p = float(value)
-                    elif key == "duration":
-                        duration = float(value)
-                    else:
-                        where[key] = int(value)
-                except ValueError as exc:
-                    raise FaultPlanError(
-                        f"bad value {value!r} for {key!r} in fault plan"
-                    ) from exc
-            specs.append(
-                FaultSpec(
-                    kind=kind,
-                    site=site,
-                    where=tuple(sorted(where.items())),
-                    p=p,
-                    duration=duration,
-                )
-            )
-        return cls(specs=tuple(specs), seed=seed)
-
-    def describe(self) -> str:
-        """The plan back in ``--fault-plan`` syntax."""
-        return ";".join(spec.describe() for spec in self.specs)
-
-    # ------------------------------------------------------------------
-    def draw(self, site: str, coords: Mapping[str, int]) -> Optional[FaultSpec]:
-        """The first spec that fires at ``site`` with ``coords``, if any."""
-        for index, spec in enumerate(self.specs):
-            if not spec.matches(site, coords):
-                continue
-            if spec.p >= 1.0 or self._uniform(index, site, coords) < spec.p:
-                return spec
-        return None
-
-    def _uniform(self, index: int, site: str, coords: Mapping[str, int]) -> float:
-        """A deterministic uniform draw in [0, 1) for one firing decision."""
-        return deterministic_uniform(
-            self.seed, index, site,
-            [(key, coords.get(key)) for key in COORD_KEYS],
-        )
-
-
-def trip(
-    plan: Optional[FaultPlan],
-    site: str,
-    coords: Mapping[str, int],
-    corrupt_target=None,
-) -> Optional[FaultSpec]:
-    """Fire the plan's fault for ``site``/``coords``, if one is due.
-
-    ``fail`` raises :class:`InjectedFault`; ``die`` exits the process
-    abruptly (``os._exit``) to simulate a hard worker crash; ``hang``
-    sleeps for the spec's ``duration``; ``corrupt`` perturbs the first
-    few entries of ``corrupt_target`` (the worker's shared-memory view
-    of the CSR ``data`` array) in place.  Returns the fired spec (or
-    None), letting call sites count injections.
-    """
-    if plan is None:
-        return None
-    spec = plan.draw(site, coords)
-    if spec is None:
-        return None
-    if spec.kind == "fail":
-        raise InjectedFault(
-            f"injected fault at {site} {dict(coords)} ({spec.describe()})"
-        )
-    if spec.kind == "die":  # pragma: no cover - exits the worker process
-        os._exit(3)
-    if spec.kind == "hang":
-        time.sleep(spec.duration)
-    elif spec.kind == "corrupt" and corrupt_target is not None:
-        n = min(4, len(corrupt_target))
-        if n:
-            corrupt_target[:n] = corrupt_target[:n] + 1.0
-    return spec
-
-
 @dataclass(frozen=True)
 class FaultTolerance:
-    """Recovery budgets of the hardened worker pool's degradation ladder.
+    """Retry, backoff and deadline budgets for recoverable failures.
 
     Attributes
     ----------
     task_deadline:
-        Wall-clock seconds a dispatched wave may take before its
-        unfinished tasks are declared hung and the executor is respawned
-        (None disables deadlines).
+        Default wall-clock seconds a job may run before it times out
+        (None disables the deadline).
     task_retries:
-        Failed-task resubmissions before a failure escalates from the
-        "retry task" rung to "respawn worker".
+        Resubmissions of a failed job (or retry waves of an idempotent
+        request) before the failure is final.
     backoff_base / backoff_cap:
-        Exponential-backoff sleep between retry waves:
+        Exponential-backoff sleep between retries:
         ``min(cap, base * 2**(wave - 1))`` seconds.
-    respawn_limit:
-        Executor respawns allowed at one pool size before the ladder
-        shrinks the pool (halves the worker count).
-    min_workers:
-        Shrinking stops here; the next escalation degrades to serial.
     """
 
     task_deadline: Optional[float] = 120.0
     task_retries: int = 2
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    respawn_limit: int = 1
-    min_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.task_deadline is not None and self.task_deadline <= 0:
@@ -342,10 +102,6 @@ class FaultTolerance:
             raise ValueError("task_retries must be nonnegative")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ValueError("backoff values must be nonnegative")
-        if self.respawn_limit < 0:
-            raise ValueError("respawn_limit must be nonnegative")
-        if self.min_workers < 1:
-            raise ValueError("min_workers must be at least 1")
 
     def backoff(self, wave: int) -> float:
         """Backoff sleep (seconds) before retry wave ``wave`` (1-based)."""

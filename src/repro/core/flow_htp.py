@@ -8,13 +8,8 @@ constructing several partitions per metric is nearly free.
 
 Every iteration is a pure function of a pair of pre-drawn seeds
 ``(metric_seed, construction_seeds)``, drawn from the master RNG in
-iteration order.  That makes the iteration loop embarrassingly parallel:
-with ``engine='parallel'`` and more than one iteration, whole iterations
-fan out across worker processes (:func:`repro.core.parallel.parallel_map`)
-and the merged result is bit-identical to the serial loop.  With a single
-iteration the process pool is instead spent *inside* the metric
-computation (one persistent :class:`~repro.core.parallel.MetricWorkerPool`
-shared across the run).
+iteration order, so a resumed run can restart at any iteration boundary
+and reproduce the uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core import _kernel as native_kernel
 from repro.core.checkpoint import (
     FlowCheckpointer,
     MetricCheckpoint,
@@ -36,12 +30,6 @@ from repro.core.checkpoint import (
     run_fingerprint,
 )
 from repro.core.construct import construct_partition
-from repro.core.parallel import (
-    MetricWorkerPool,
-    ParallelConfig,
-    parallel_map,
-    should_autoserial,
-)
 from repro.core.perf import PerfCounters
 from repro.core.spreading_metric import (
     SpreadingMetricConfig,
@@ -79,12 +67,6 @@ class FlowHTPConfig:
         Algorithm 2 configuration.
     seed:
         Master seed; per-iteration randomness derives from it.
-    parallel:
-        Worker-pool configuration, honoured only when
-        ``metric.engine == 'parallel'``.  With several iterations the
-        iterations themselves fan out; with one iteration the pool
-        accelerates the metric's violation checks.  Either way the
-        result is bit-identical to ``engine='scipy'``.
     exact_refine:
         When True, run :func:`repro.analysis.exact.tree_dp_refine` on
         the best partition before returning — exact on tree-structured
@@ -102,7 +84,6 @@ class FlowHTPConfig:
     net_model: str = "clique"
     metric: SpreadingMetricConfig = field(default_factory=SpreadingMetricConfig)
     seed: int = 0
-    parallel: Optional[ParallelConfig] = None
     exact_refine: bool = False
 
     def __post_init__(self) -> None:
@@ -110,6 +91,15 @@ class FlowHTPConfig:
             raise ValueError("iterations must be at least 1")
         if self.constructions_per_metric < 1:
             raise ValueError("constructions_per_metric must be at least 1")
+        if self.find_cut_strategy not in ("prim", "mst", "both"):
+            raise ValueError(
+                "find_cut_strategy must be 'prim', 'mst' or 'both', got "
+                f"{self.find_cut_strategy!r}"
+            )
+        if self.net_model not in ("clique", "cycle"):
+            raise ValueError(
+                f"net_model must be 'clique' or 'cycle', got {self.net_model!r}"
+            )
 
 
 @dataclass
@@ -121,8 +111,8 @@ class FlowHTPResult:
     each metric (an *upper* proxy for solution quality, not a bound);
     ``runtime_seconds`` the wall-clock cost of the whole run; ``perf``
     aggregates the solver's :class:`PerfCounters` (Dijkstra calls, dirty
-    edges repriced, cut evaluations, pool dispatches, per-phase wall
-    time) across all iterations and worker processes.
+    edges repriced, cut evaluations, per-phase wall time) across all
+    iterations.
     """
 
     partition: PartitionTree
@@ -202,39 +192,30 @@ class FlowHTPResult:
 
 
 def _run_flow_iteration(
-    task,
-    pool: Optional[MetricWorkerPool] = None,
+    hypergraph: Hypergraph,
+    graph: Graph,
+    spec: HierarchySpec,
+    config: FlowHTPConfig,
+    metric_seed: int,
+    construction_seeds: List[int],
     on_round=None,
     metric_resume: Optional[MetricCheckpoint] = None,
     abort_check=None,
 ) -> Tuple[float, PartitionTree, SpreadingMetricResult, PerfCounters]:
-    """One FLOW iteration as a pure, picklable task.
-
-    ``task`` is ``(hypergraph, graph, spec, config, metric_seed,
-    construction_seeds, in_worker)``.  When ``in_worker`` is true the
-    iteration is running inside a fan-out worker: the metric engine is
-    demoted from ``'parallel'`` to the bit-identical ``'scipy'`` path so
-    workers never spawn nested pools.  ``pool`` (coordinator-side only;
-    pools do not pickle) lets the serial loop share one persistent
-    :class:`MetricWorkerPool` across iterations.
+    """One FLOW iteration: a metric, then one partition per construction seed.
 
     Returns ``(iteration_best_cost, best_partition, metric_result,
     counters)``; the caller merges counters and picks the global best.
     """
-    hypergraph, graph, spec, config, metric_seed, construction_seeds, in_worker = task
     counters = PerfCounters()
-    engine = config.metric.engine
-    if in_worker and engine == "parallel":
-        engine = "scipy"
     metric_config = SpreadingMetricConfig(
         alpha=config.metric.alpha,
         delta=config.metric.delta,
         epsilon=config.metric.epsilon,
         max_rounds=config.metric.max_rounds,
-        engine=engine,
+        engine=config.metric.engine,
         seed=metric_seed,
         node_sample=config.metric.node_sample,
-        parallel=config.parallel or config.metric.parallel,
     )
     phase_start = time.perf_counter()
     metric = compute_spreading_metric(
@@ -243,17 +224,11 @@ def _run_flow_iteration(
         metric_config,
         rng=random.Random(metric_seed),
         counters=counters,
-        pool=pool,
-        spawn_pool=False,
         on_round=on_round,
         resume=metric_resume,
         abort_check=abort_check,
     )
     counters.add_phase("metric", time.perf_counter() - phase_start)
-
-    construct_parallel = None
-    if not in_worker and config.metric.engine == "parallel":
-        construct_parallel = config.parallel or config.metric.parallel
 
     iteration_best = float("inf")
     iteration_partition: Optional[PartitionTree] = None
@@ -274,7 +249,6 @@ def _run_flow_iteration(
             find_cut_restarts=config.find_cut_restarts,
             strategy=config.find_cut_strategy,
             counters=counters,
-            parallel=construct_parallel,
         )
         cost = total_cost(hypergraph, partition, spec)
         if cost < iteration_best:
@@ -340,19 +314,13 @@ def flow_htp(
     -----
     **Engine equivalence guarantee.**  For a fixed ``config.seed`` the
     returned partition and every diagnostic list are bit-identical
-    across ``metric.engine`` values ``'scipy'`` and ``'parallel'`` (any
-    worker count): iterations consume pre-drawn seeds, fan-out workers
-    run the same floored arithmetic, and results merge in iteration
-    order with strict ``<`` tie-breaking — the same first-minimum rule
-    as the serial loop.
+    across every ``metric.engine``: the engines differ only in how a
+    violation check is computed, never in its verdict.
 
     **Resume identity guarantee.**  A run killed at any point and
     resumed via ``resume_from`` returns the same partition, cost and
     per-iteration diagnostics (metric arrays included) as an
     uninterrupted run; only wall-clock and perf counters differ.
-    Checkpointing (or an ``abort_check``) pins the iteration loop to
-    the serial path — hooks do not pickle into fan-out workers — but
-    the in-metric process pool still applies.
     """
     config = config or FlowHTPConfig()
     start = time.perf_counter()
@@ -422,77 +390,31 @@ def flow_htp(
         ]
         seeds.append((metric_seed, construction_seeds))
 
-    parallel_cfg: Optional[ParallelConfig] = None
-    if config.metric.engine == "parallel":
-        parallel_cfg = config.parallel or config.metric.parallel or ParallelConfig()
-    workers = parallel_cfg.resolved_workers() if parallel_cfg is not None else 1
-    fan_iterations = (
-        parallel_cfg is not None
-        and config.iterations > 1
-        and workers > 1
-        # Durability hooks and abort checks are coordinator-side
-        # closures; they do not pickle into fan-out workers, so those
-        # runs keep the (bit-identical) serial iteration loop.
-        and not durable
-        and abort_check is None
-        # One core cannot overlap fanned iterations either.
-        and not should_autoserial(parallel_cfg)
-    )
-
-    tasks = [
-        (hypergraph, graph, spec, config, metric_seed, construction_seeds, fan_iterations)
-        for metric_seed, construction_seeds in seeds
-    ]
-
-    if fan_iterations:
-        outcomes = parallel_map(
-            _run_flow_iteration, tasks, parallel=parallel_cfg, counters=counters
+    outcomes = list(completed_outcomes)
+    for index in range(start_iteration, len(seeds)):
+        if checkpointer is not None:
+            checkpointer.begin_iteration(index)
+        metric_seed, construction_seeds = seeds[index]
+        outcome = _run_flow_iteration(
+            hypergraph,
+            graph,
+            spec,
+            config,
+            metric_seed,
+            construction_seeds,
+            on_round=(
+                checkpointer.on_metric_round
+                if checkpointer is not None
+                else None
+            ),
+            metric_resume=(
+                metric_resume if index == start_iteration else None
+            ),
+            abort_check=abort_check,
         )
-    else:
-        pool: Optional[MetricWorkerPool] = None
-        if config.metric.engine == "parallel":
-            if should_autoserial(parallel_cfg):
-                # One core / one worker: skip the pool entirely and run
-                # the bit-identical in-process engine, warning-free.
-                counters.pool_autoserial += 1
-            else:
-                try:
-                    pool = MetricWorkerPool(
-                        graph,
-                        spec,
-                        parallel=parallel_cfg,
-                        use_native=native_kernel.available(),
-                    )
-                except Exception as exc:
-                    counters.pool_fallbacks += 1
-                    counters.record_degradation("spawn-serial", exc, site="pool-spawn")
-                    if parallel_cfg is not None and not parallel_cfg.fallback:
-                        raise
-                    pool = None
-        try:
-            outcomes = list(completed_outcomes)
-            for index in range(start_iteration, len(tasks)):
-                if checkpointer is not None:
-                    checkpointer.begin_iteration(index)
-                outcome = _run_flow_iteration(
-                    tasks[index],
-                    pool=pool,
-                    on_round=(
-                        checkpointer.on_metric_round
-                        if checkpointer is not None
-                        else None
-                    ),
-                    metric_resume=(
-                        metric_resume if index == start_iteration else None
-                    ),
-                    abort_check=abort_check,
-                )
-                outcomes.append(outcome)
-                if checkpointer is not None:
-                    checkpointer.complete_iteration(index, outcome)
-        finally:
-            if pool is not None:
-                pool.close()
+        outcomes.append(outcome)
+        if checkpointer is not None:
+            checkpointer.complete_iteration(index, outcome)
 
     best_partition: Optional[PartitionTree] = None
     best_cost = float("inf")

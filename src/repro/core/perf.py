@@ -32,42 +32,13 @@ Counter semantics
 ``cut_evals``
     Candidate regions whose hypergraph cut was evaluated in ``find_cut``
     (Prim prefixes plus MST subtree heads).
-``pool_dispatches``
-    Batched oracle sub-rounds fanned out across the process pool (each
-    dispatch covers one chunk, split into per-worker tasks).
-``pool_tasks``
-    Worker tasks submitted to a process pool (metric slices, flow
-    iterations, construct children, hierarchy candidates).
-``pool_fallbacks``
-    Times a pooled code path dropped back to the serial equivalent —
-    pool creation failures, pickling errors, poisoned/shut-down pools.
-    Results are unaffected (the serial path is bit-identical); a nonzero
-    count only means the parallelism was not realised.
-``pool_autoserial``
-    Times the parallel tier deliberately ran serial for economics rather
-    than faults: engine resolution skipped the pool (one core or one
-    resolved worker), or a running pool retired itself after measured
-    dispatch overhead stayed above threshold.  Warning-free by design.
 ``native_fallbacks``
     ``engine='native'`` requests served by the scipy kernel because the
     compiled extension was unavailable (not built, or disabled via
     ``REPRO_DISABLE_NATIVE``); each adds a degradation record.
-``pool_task_retries``
-    Worker tasks resubmitted after a failure or missed deadline (the
-    first rung of the degradation ladder).
-``pool_respawns``
-    Times the pool killed and rebuilt its executor after a worker died,
-    hung past its deadline, or exhausted task retries (second rung).
-``pool_shrinks``
-    Times the pool halved its worker count after the respawn budget ran
-    out at the current size (third rung).
-``pool_corruptions``
-    Shared-memory checksum mismatches detected after a dispatch; each
-    one triggered a repair from the coordinator's private metric and a
-    clean re-run of the dispatch.
-``faults_injected``
-    Injected faults (``repro.core.faults``) observed by the coordinator
-    — raised :class:`InjectedFault` instances plus detected corruptions.
+``job_retries``
+    Failed job solves the service resubmitted after a backoff sleep
+    (``FaultTolerance.task_retries`` per job).
 ``cache_hits`` / ``cache_misses`` / ``cache_evictions``
     Content-addressed result-cache traffic (``repro.service.cache``):
     lookups served from the cache (memory or disk), lookups that fell
@@ -120,18 +91,15 @@ Counter semantics
     Network faults a ``repro.testing.netfaults`` proxy actually applied
     to live traffic (delayed/dropped/half-closed/partitioned/reordered
     events, not merely scheduled ones).
-``pool_workers``
-    Per-worker-process ``dijkstra_sources`` totals, keyed by worker pid —
-    shows how evenly the pool's load spread.
 ``degradations``
-    A bounded log of ladder transitions, each a dict with the ``action``
-    taken (``retry`` / ``respawn`` / ``shrink`` / ``serial`` / ...), the
-    ``site`` and the repr of the original ``cause`` exception — the
-    fallback never swallows what actually went wrong.
+    A bounded log of recovery transitions, each a dict with the
+    ``action`` taken (``native-scipy`` / ``job-retry`` /
+    ``checkpoint-discard`` / ...), the ``site`` and the repr of the
+    original ``cause`` exception — a fallback never swallows what
+    actually went wrong.
 ``phase_seconds``
     Wall-clock seconds per named phase (``metric``, ``construct``,
-    ``evaluate``, ``pool_dispatch``, ``pool_merge``, ...), accumulated
-    across iterations.
+    ``kernel_seconds``, ...), accumulated across iterations.
 """
 
 from __future__ import annotations
@@ -157,16 +125,8 @@ INT_COUNTERS = (
     "retired_free",
     "injections",
     "cut_evals",
-    "pool_dispatches",
-    "pool_tasks",
-    "pool_fallbacks",
-    "pool_autoserial",
     "native_fallbacks",
-    "pool_task_retries",
-    "pool_respawns",
-    "pool_shrinks",
-    "pool_corruptions",
-    "faults_injected",
+    "job_retries",
     "cache_hits",
     "cache_misses",
     "cache_evictions",
@@ -194,14 +154,8 @@ class PerfCounters:
     """Mutable instrumentation shared by the FLOW hot paths.
 
     A plain counter struct threaded through Algorithm 2 (the spreading
-    metric), the constraint oracle, ``find_cut`` and the parallel engine
-    tier.  See the module docstring for the meaning of each counter.
-
-    Notes
-    -----
-    ``PerfCounters`` is picklable; worker processes fill a fresh instance
-    per task and the pool merges it into the caller's struct, so the
-    aggregated numbers cover serial and pooled work alike.
+    metric), the constraint oracle, ``find_cut`` and the job service.
+    See the module docstring for the meaning of each counter.
     """
 
     dijkstra_calls: int = 0
@@ -214,16 +168,8 @@ class PerfCounters:
     retired_free: int = 0
     injections: int = 0
     cut_evals: int = 0
-    pool_dispatches: int = 0
-    pool_tasks: int = 0
-    pool_fallbacks: int = 0
-    pool_autoserial: int = 0
     native_fallbacks: int = 0
-    pool_task_retries: int = 0
-    pool_respawns: int = 0
-    pool_shrinks: int = 0
-    pool_corruptions: int = 0
-    faults_injected: int = 0
+    job_retries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -243,7 +189,6 @@ class PerfCounters:
     cache_replications: int = 0
     router_epoch_bumps: int = 0
     netfaults_injected: int = 0
-    pool_workers: Dict[str, int] = field(default_factory=dict)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     degradations: List[Dict[str, str]] = field(default_factory=list)
 
@@ -253,12 +198,12 @@ class PerfCounters:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
     def record_degradation(
-        self, action: str, cause: object, site: str = "pool"
+        self, action: str, cause: object, site: str
     ) -> None:
-        """Log one degradation-ladder transition, preserving its cause.
+        """Log one recovery transition, preserving its cause.
 
         ``cause`` is kept as ``repr`` so the record stays picklable and
-        JSON-ready whatever exception type the worker raised.  The log
+        JSON-ready whatever exception type was raised.  The log
         is capped at :data:`MAX_DEGRADATION_RECORDS` entries.
         """
         if len(self.degradations) < MAX_DEGRADATION_RECORDS:
@@ -274,10 +219,6 @@ class PerfCounters:
             if len(self.degradations) >= MAX_DEGRADATION_RECORDS:
                 break
             self.degradations.append(dict(record))
-        for worker, sources in other.pool_workers.items():
-            self.pool_workers[worker] = (
-                self.pool_workers.get(worker, 0) + sources
-            )
         for name, seconds in other.phase_seconds.items():
             self.add_phase(name, seconds)
 
@@ -286,7 +227,6 @@ class PerfCounters:
         doc: Dict[str, object] = {
             name: getattr(self, name) for name in INT_COUNTERS
         }
-        doc["pool_workers"] = dict(self.pool_workers)
         doc["phase_seconds"] = dict(self.phase_seconds)
         doc["degradations"] = [dict(r) for r in self.degradations]
         return doc
@@ -301,10 +241,6 @@ class PerfCounters:
         counters = cls()
         for name in INT_COUNTERS:
             setattr(counters, name, int(payload.get(name, 0)))
-        counters.pool_workers = {
-            str(worker): int(sources)
-            for worker, sources in dict(payload.get("pool_workers", {})).items()
-        }
         counters.phase_seconds = {
             str(name): float(seconds)
             for name, seconds in dict(payload.get("phase_seconds", {})).items()
@@ -323,29 +259,9 @@ class PerfCounters:
             f"{name}={seconds:.2f}s"
             for name, seconds in sorted(self.phase_seconds.items())
         )
-        pool = ""
-        if self.pool_dispatches or self.pool_tasks or self.pool_fallbacks:
-            pool = (
-                f" | pool {self.pool_dispatches} dispatches / "
-                f"{self.pool_tasks} tasks / "
-                f"{len(self.pool_workers)} workers / "
-                f"{self.pool_fallbacks} fallbacks"
-            )
         recovery = ""
-        if (
-            self.pool_task_retries
-            or self.pool_respawns
-            or self.pool_shrinks
-            or self.pool_corruptions
-            or self.faults_injected
-        ):
-            recovery = (
-                f" | recovery {self.pool_task_retries} retries / "
-                f"{self.pool_respawns} respawns / "
-                f"{self.pool_shrinks} shrinks / "
-                f"{self.pool_corruptions} corruptions / "
-                f"{self.faults_injected} faults"
-            )
+        if self.job_retries:
+            recovery = f" | recovery {self.job_retries} job retries"
         cache = ""
         if self.cache_hits or self.cache_misses or self.cache_evictions:
             cache = (
@@ -375,6 +291,6 @@ class PerfCounters:
             f"{self.recheck_sources} rechecks | "
             f"{self.injections} injections / "
             f"{self.edges_repriced} edges repriced | "
-            f"{self.cut_evals} cut evals{pool}{recovery}{cache}"
+            f"{self.cut_evals} cut evals{recovery}{cache}"
             f"{durability} | {phases}"
         )

@@ -31,16 +31,6 @@ behaviour) kept as the reference the batched loop is asserted
 bit-identical against; ``engine='python'`` additionally swaps the oracle
 to the pure-Python Dijkstra.
 
-``engine='parallel'`` runs the same batched incremental loop but fans
-each sub-round's snapshot check across a persistent process pool
-(:class:`repro.core.parallel.MetricWorkerPool`): workers share the
-floored CSR arrays through ``multiprocessing.shared_memory``, verdicts
-are merged back in source order, and injections stay serial on the
-coordinator — so the flow trajectory, and therefore the result, is
-bit-identical to ``engine='scipy'`` for every seed and worker count.
-Chunks too small to be worth a dispatch, and any pool failure, fall back
-to the in-process check transparently.
-
 ``engine='native'`` runs the serial round loop with every per-source
 first-violation query answered by the compiled kernel
 (``repro.core._kernel``): one early-exiting C pass fuses the
@@ -52,10 +42,8 @@ stays in numpy (``np.expm1`` is not guaranteed bitwise-equal to libm),
 the kernel only reads the installed CSR metric.  When the extension
 is not built (no compiler) or is disabled via ``REPRO_DISABLE_NATIVE``,
 the request quietly degrades to the batched ``scipy`` loop with a
-``native_fallbacks`` count and a degradation record.  The ``parallel``
-engine composes with the kernel automatically: pool workers answer
-their slice of each snapshot natively when the extension is available.
-All five engines produce identical results for a fixed seed.
+``native_fallbacks`` count and a degradation record.  All four engines
+produce identical results for a fixed seed.
 """
 
 from __future__ import annotations
@@ -70,18 +58,13 @@ import numpy as np
 from repro.core import _kernel as native_kernel_mod
 from repro.core.checkpoint import MetricCheckpoint
 from repro.core.constraints import MIN_CSR_LENGTH, SpreadingOracle
-from repro.core.parallel import (
-    MetricWorkerPool,
-    ParallelConfig,
-    should_autoserial,
-)
 from repro.core.perf import PerfCounters
 from repro.errors import CheckpointError, SolverAborted
 from repro.htp.hierarchy import HierarchySpec
 from repro.hypergraph.graph import Graph
 
 #: Engines accepted by :class:`SpreadingMetricConfig`.
-ENGINES = ("scipy", "scipy-serial", "python", "parallel", "native")
+ENGINES = ("scipy", "scipy-serial", "python", "native")
 
 #: Initial batched sub-round size; doubles after every injection-free
 #: chunk and resets on injection (injection-heavy phases want small
@@ -112,9 +95,7 @@ class SpreadingMetricConfig:
         ``'scipy'`` (batched incremental, fast), ``'scipy-serial'``
         (one source per Dijkstra; the reference the batched engine is
         tested bit-identical against), ``'python'`` (pure-Python
-        reference), ``'parallel'`` (the batched loop with sub-round
-        checks fanned across a process pool; bit-identical to
-        ``'scipy'``) or ``'native'`` (the serial loop with per-source
+        reference) or ``'native'`` (the serial loop with per-source
         checks answered by the compiled kernel; degrades to ``'scipy'``
         when the extension is unavailable).
     seed:
@@ -122,10 +103,6 @@ class SpreadingMetricConfig:
     node_sample:
         Optional fraction (0, 1] of nodes to enforce constraints for — a
         stochastic speedup for very large instances; 1.0 enforces all.
-    parallel:
-        Pool sizing/fallback knobs for ``engine='parallel'`` (a
-        :class:`repro.core.parallel.ParallelConfig`); None means
-        defaults.  Ignored by the other engines.
     """
 
     alpha: float = 1.0
@@ -135,7 +112,6 @@ class SpreadingMetricConfig:
     engine: str = "scipy"
     seed: int = 0
     node_sample: float = 1.0
-    parallel: Optional["ParallelConfig"] = None
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -180,8 +156,6 @@ def compute_spreading_metric(
     config: Optional[SpreadingMetricConfig] = None,
     rng: Optional[random.Random] = None,
     counters: Optional[PerfCounters] = None,
-    pool: Optional[MetricWorkerPool] = None,
-    spawn_pool: bool = True,
     on_round: Optional[Callable[[MetricCheckpoint, bool], None]] = None,
     resume: Optional[MetricCheckpoint] = None,
     abort_check: Optional[Callable[[], object]] = None,
@@ -199,16 +173,7 @@ def compute_spreading_metric(
     rng : random.Random, optional
         Node-visit-order randomness; defaults to ``Random(config.seed)``.
     counters : PerfCounters, optional
-        Instrumentation sink shared with the oracle and pool.
-    pool : MetricWorkerPool, optional
-        A caller-owned worker pool for ``engine='parallel'`` (the FLOW
-        driver shares one pool across its iterations).  Ignored by the
-        other engines.
-    spawn_pool : bool, optional
-        When True (default) and ``engine='parallel'`` with no ``pool``
-        given, a transient pool is created for this call and closed on
-        return.  The FLOW driver's fan-out workers pass False so a
-        pooled iteration never nests another pool.
+        Instrumentation sink shared with the oracle.
     on_round : callable, optional
         Durability hook ``on_round(state, final)`` invoked after every
         round with a :class:`~repro.core.checkpoint.MetricCheckpoint`
@@ -281,85 +246,52 @@ def compute_spreading_metric(
                     site="native-kernel",
                 )
 
-    owned_pool: Optional[MetricWorkerPool] = None
-    if engine == "parallel" and pool is None and spawn_pool:
-        if should_autoserial(config.parallel):
-            # One core / one worker: the pool can only serialise tasks
-            # behind IPC overhead, so take the bit-identical in-process
-            # path quietly (the warning-free 1-core fix).
-            if counters is not None:
-                counters.pool_autoserial += 1
-            spawn_pool = False
-    if engine == "parallel" and pool is None and spawn_pool:
-        try:
-            owned_pool = MetricWorkerPool(
-                graph,
-                spec,
-                parallel=config.parallel,
-                tol=oracle.tol,
-                use_native=native_kernel_mod.available(),
-            )
-            pool = owned_pool
-        except Exception as exc:
-            # Pool creation failed (OS limits, pickling, ...): the
-            # batched loop without a pool is the bit-identical fallback.
-            # The cause is preserved on the degradation record.
-            if counters is not None:
-                counters.pool_fallbacks += 1
-                counters.record_degradation("spawn-serial", exc, site="pool-spawn")
-            if config.parallel is not None and not config.parallel.fallback:
-                raise
-    try:
-        if engine in ("scipy", "parallel"):
-            injections, rounds = _batched_rounds(
-                graph,
-                oracle,
-                config,
-                rng,
-                active,
-                flows,
-                lengths,
-                capacities,
-                counters,
-                pool=pool if engine == "parallel" else None,
-                on_round=on_round,
-                resume=resume,
-                abort_check=abort_check,
-            )
-        elif engine == "native":
-            injections, rounds = _native_rounds(
-                graph,
-                oracle,
-                config,
-                rng,
-                active,
-                flows,
-                lengths,
-                capacities,
-                counters,
-                native_kernel,
-                on_round=on_round,
-                resume=resume,
-                abort_check=abort_check,
-            )
-        else:
-            injections, rounds = _serial_rounds(
-                graph,
-                oracle,
-                config,
-                rng,
-                active,
-                flows,
-                lengths,
-                capacities,
-                counters,
-                on_round=on_round,
-                resume=resume,
-                abort_check=abort_check,
-            )
-    finally:
-        if owned_pool is not None:
-            owned_pool.close()
+    if engine == "scipy":
+        injections, rounds = _batched_rounds(
+            graph,
+            oracle,
+            config,
+            rng,
+            active,
+            flows,
+            lengths,
+            capacities,
+            counters,
+            on_round=on_round,
+            resume=resume,
+            abort_check=abort_check,
+        )
+    elif engine == "native":
+        injections, rounds = _native_rounds(
+            graph,
+            oracle,
+            config,
+            rng,
+            active,
+            flows,
+            lengths,
+            capacities,
+            counters,
+            native_kernel,
+            on_round=on_round,
+            resume=resume,
+            abort_check=abort_check,
+        )
+    else:
+        injections, rounds = _serial_rounds(
+            graph,
+            oracle,
+            config,
+            rng,
+            active,
+            flows,
+            lengths,
+            capacities,
+            counters,
+            on_round=on_round,
+            resume=resume,
+            abort_check=abort_check,
+        )
     if on_round is not None:
         on_round(
             _round_state(rng, flows, lengths, active, injections, rounds),
@@ -586,7 +518,6 @@ def _batched_rounds(
     lengths: np.ndarray,
     capacities: np.ndarray,
     counters: Optional[PerfCounters],
-    pool: Optional[MetricWorkerPool] = None,
     on_round=None,
     resume: Optional[MetricCheckpoint] = None,
     abort_check=None,
@@ -603,25 +534,11 @@ def _batched_rounds(
     heuristic: lengths only ever grow, so a repriced edge that was on
     no snapshot shortest path leaves the distance profile — and the
     canonical tree derived from it — unchanged float-for-float.
-
-    With a ``pool`` (``engine='parallel'``) the snapshot itself is
-    computed by worker processes over the shared CSR arrays and merged in
-    source order; a None return (chunk too small, pool broken) drops to
-    the in-process check.  Either way the snapshot is the same, so the
-    engines stay bit-identical.
     """
     endpoints = graph.edge_endpoints()
     chunk_cap = max(
         _MIN_CHUNK, min(256, _MAX_CHUNK_ELEMENTS // max(1, graph.num_nodes))
     )
-    if pool is not None:
-        # Amortise dispatch overhead: let a pooled chunk grow to one
-        # dispatch per round (split into per-worker slices), bounding
-        # each worker's dense scratch rather than the whole chunk.
-        # Chunk boundaries never change verdicts (the snapshot-reuse
-        # test is exact), so this is purely a dispatch-economics knob.
-        per_worker = max(1, _MAX_CHUNK_ELEMENTS // max(1, graph.num_nodes))
-        chunk_cap = max(chunk_cap, min(4096, pool.workers * per_worker))
     chunk_size = _MIN_CHUNK
     injections = 0
     rounds = 0
@@ -636,21 +553,16 @@ def _batched_rounds(
             injections, rounds, chunk_size,
         )
         rounds += 1
-        if pool is not None:
-            # Names the round for the fault-injection coordinates
-            # (``round=`` conditions in a FaultPlan); a no-op otherwise.
-            pool.begin_round(rounds)
         rng.shuffle(active)
         still_active: List[int] = []
         pos = 0
         while pos < len(active):
             chunk = active[pos : pos + chunk_size]
             pos += len(chunk)
+            # Free the previous chunk's distance matrix before the next
+            # one is allocated, so only one snapshot is alive at a time.
             snapshot = None
-            if pool is not None:
-                snapshot = pool.batch_check(oracle, chunk, mode="first")
-            if snapshot is None:
-                snapshot = oracle.batch_check(chunk, mode="first")
+            snapshot = oracle.batch_check(chunk, mode="first")
             dirty_u_parts: List[np.ndarray] = []
             dirty_w_parts: List[np.ndarray] = []
             dirty_len_parts: List[np.ndarray] = []

@@ -8,10 +8,7 @@ of candidate hierarchies (binary trees over a height range, with a slack
 range) and partitions the netlist into each, returning the ranked
 outcomes.
 
-Candidate evaluation is embarrassingly parallel: each candidate is a
-pure function of ``(spec, seed)``, so ``parallel=ParallelConfig(...)``
-fans candidates across worker processes while preserving the exact
-serial results (candidates merge in enumeration order).  For the FLOW
+Each candidate is a pure function of ``(spec, seed)``.  For the FLOW
 algorithm the net-model expansion is built **once** and shared across
 every candidate — hierarchy specs change the size bounds, not the graph,
 so rebuilding the graph (and its CSR cache) per candidate is pure waste.
@@ -26,17 +23,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.flow_htp import FlowHTPConfig, flow_htp
-from repro.core.parallel import ParallelConfig, parallel_map
 from repro.errors import HierarchyError
 from repro.htp.cost import total_cost
 from repro.htp.hierarchy import HierarchySpec, binary_hierarchy
 from repro.htp.partition import PartitionTree
 from repro.htp.validate import partition_violations
 from repro.hypergraph.expansion import to_graph
+from repro.hypergraph.graph import Graph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioning.rfm import rfm_partition
 
@@ -54,31 +51,19 @@ class HierarchyCandidate:
     valid: bool
 
 
-def _evaluate_candidate(task) -> HierarchyCandidate:
-    """Evaluate one candidate hierarchy as a pure, picklable task.
-
-    ``task`` is ``(hypergraph, graph, spec, algorithm, config, seed,
-    height, slack, in_worker)``.  Inside a fan-out worker the FLOW
-    metric engine is demoted from ``'parallel'`` to the bit-identical
-    ``'scipy'`` path so workers never spawn nested pools.
-    """
-    (
-        hypergraph,
-        graph,
-        spec,
-        algorithm,
-        config,
-        seed,
-        height,
-        slack,
-        in_worker,
-    ) = task
+def _evaluate_candidate(
+    hypergraph: Hypergraph,
+    graph: Optional[Graph],
+    spec: HierarchySpec,
+    algorithm: str,
+    config: Optional[FlowHTPConfig],
+    seed: int,
+    height: int,
+    slack: float,
+) -> HierarchyCandidate:
+    """Partition into one candidate hierarchy and score the result."""
     start = time.perf_counter()
     if algorithm == "flow":
-        if in_worker and config.metric.engine == "parallel":
-            config = replace(
-                config, metric=replace(config.metric, engine="scipy")
-            )
         partition = flow_htp(hypergraph, spec, config, graph=graph).partition
     else:
         partition = rfm_partition(hypergraph, spec, rng=random.Random(seed))
@@ -104,7 +89,6 @@ def search_hierarchies(
     weights_for: Optional[Callable[[int], Sequence[float]]] = None,
     flow_config: Optional[FlowHTPConfig] = None,
     seed: int = 0,
-    parallel: Optional[ParallelConfig] = None,
 ) -> List[HierarchyCandidate]:
     """Partition into every candidate hierarchy; return results by cost.
 
@@ -124,10 +108,6 @@ def search_hierarchies(
         FLOW configuration (``algorithm='flow'`` only).
     seed : int, optional
         Seed for RFM / the default FLOW configuration.
-    parallel : ParallelConfig, optional
-        When given, candidates are evaluated by worker processes via
-        :func:`repro.core.parallel.parallel_map`.  Results are
-        bit-identical to the serial sweep for any worker count.
 
     Returns
     -------
@@ -152,10 +132,7 @@ def search_hierarchies(
             hypergraph, model=config.net_model, rng=random.Random(config.seed)
         )
 
-    fan_out = (
-        parallel is not None and parallel.resolved_workers() > 1
-    )
-    tasks = []
+    candidates = []
     for height in heights:
         for slack in slacks:
             weights = weights_for(height) if weights_for else None
@@ -165,8 +142,8 @@ def search_hierarchies(
                 )
             except HierarchyError:
                 continue
-            tasks.append(
-                (
+            candidates.append(
+                _evaluate_candidate(
                     hypergraph,
                     flow_graph,
                     spec,
@@ -175,16 +152,8 @@ def search_hierarchies(
                     seed,
                     height,
                     slack,
-                    fan_out,
                 )
             )
-
-    if fan_out and len(tasks) > 1:
-        candidates = list(
-            parallel_map(_evaluate_candidate, tasks, parallel=parallel)
-        )
-    else:
-        candidates = [_evaluate_candidate(task) for task in tasks]
     candidates.sort(key=lambda c: (not c.valid, c.cost))
     return candidates
 

@@ -95,25 +95,6 @@ class Graph:
         self._endpoints: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        """Pickle without the derived caches.
-
-        The CSR cache may be backed by ``multiprocessing.shared_memory``
-        (the parallel engine installs shared views in place) and must not
-        travel with the pickle; workers rebuild or re-attach their own.
-        """
-        state = self.__dict__.copy()
-        state["_csr_cache"] = None
-        state["_csr_weights_token"] = 0
-        state["_endpoints"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     @property
@@ -240,18 +221,6 @@ class Graph:
         matrix, slots = self._csr_cache
         return matrix, slots
 
-    def adopt_csr_cache(self, matrix: object, slots: np.ndarray) -> None:
-        """Install an externally built CSR cache (the worker attach path).
-
-        ``matrix`` must be a ``scipy.sparse.csr_matrix`` of this graph's
-        structure and ``slots`` the edge-id -> data-slot mapping of
-        :meth:`csr_structure`.  Pool workers use this to point the graph
-        at a ``multiprocessing.shared_memory``-backed ``data`` array so
-        the coordinator's in-place weight patches are visible to every
-        worker without any per-dispatch broadcast.
-        """
-        self._csr_cache = (matrix, np.asarray(slots, dtype=np.int64))
-
     @property
     def csr_weights_token(self) -> int:
         """Generation counter of the CSR ``data`` array.
@@ -280,9 +249,6 @@ class Graph:
         flow injection touches ``k`` edges, only their ``2k`` data slots
         are rewritten instead of all ``2m`` — the per-injection cost of
         keeping the Dijkstra matrix current drops from O(m) to O(k).
-        When the cached ``data`` array lives in shared memory (see
-        :meth:`adopt_csr_cache`), these writes are exactly the dirty
-        ``(edge_id, value)`` pairs the pool workers observe.
 
         Parameters
         ----------

@@ -27,9 +27,7 @@ never grown beyond the capacity slack of the *opposite* leaf's ancestor
 chain, so any cut of the corridor yields a partition that still satisfies
 every ``C_l``.  One node per side is always pinned as an anchor, so
 leaves cannot drain empty.  Every step iterates in sorted order from a
-seeded RNG: results are bit-identical across runs and across
-``--workers`` counts (the parallel metric engine is itself bit-identical
-to the serial one).
+seeded RNG: results are bit-identical across runs.
 
 :func:`multilevel_fm_htp` is the apples-to-apples comparator — the same
 V-cycle with RFM as the coarsest solver and pairwise FM refinement — used
@@ -47,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.algorithms.maxflow import FlowNetwork
 from repro.algorithms.mincut import stoer_wagner_min_cut
 from repro.core.flow_htp import FlowHTPConfig, FlowHTPResult, flow_htp
-from repro.core.parallel import ParallelConfig
 from repro.core.perf import PerfCounters
 from repro.core.spreading_metric import ENGINES, SpreadingMetricConfig
 from repro.errors import PartitionError, SolverAborted
@@ -67,6 +64,10 @@ from repro.partitioning.rfm import rfm_partition
 
 _EPS = 1e-9
 _INF = float("inf")
+
+#: Every ``engine`` a solve request may name: the bit-identical metric
+#: engines of flat FLOW, plus this module's V-cycle.
+SOLVER_ENGINES = ENGINES + ("multilevel-flow",)
 
 
 @dataclass
@@ -101,10 +102,6 @@ class MultilevelFlowConfig:
         comparator), or ``'none'``.
     coarse_solver:
         ``'flow'`` (:func:`repro.core.flow_htp.flow_htp`) or ``'rfm'``.
-    engine:
-        Metric engine for the coarsest-level FLOW solve.
-    workers:
-        Worker processes when ``engine == 'parallel'``.
     seed:
         Master seed; the whole V-cycle is a pure function of it.
     flow:
@@ -122,8 +119,6 @@ class MultilevelFlowConfig:
     stoer_wagner_max: int = 48
     refiner: str = "flow"
     coarse_solver: str = "flow"
-    engine: str = "scipy"
-    workers: Optional[int] = None
     seed: int = 0
     flow: Optional[FlowHTPConfig] = None
 
@@ -134,8 +129,6 @@ class MultilevelFlowConfig:
             raise PartitionError(
                 f"unknown coarse solver {self.coarse_solver!r}"
             )
-        if self.engine not in ENGINES:
-            raise PartitionError(f"unknown metric engine {self.engine!r}")
 
 
 def multilevel_flow_htp(
@@ -337,9 +330,6 @@ def _coarse_rfm(
 
 def _coarse_flow_config(config: MultilevelFlowConfig) -> FlowHTPConfig:
     """The flat solver's configuration for the coarsest level."""
-    parallel = None
-    if config.engine == "parallel" and config.workers is not None:
-        parallel = ParallelConfig(workers=config.workers)
     return FlowHTPConfig(
         iterations=2,
         constructions_per_metric=4,
@@ -347,10 +337,8 @@ def _coarse_flow_config(config: MultilevelFlowConfig) -> FlowHTPConfig:
         metric=SpreadingMetricConfig(
             delta=0.05,
             max_rounds=200,
-            engine=config.engine,
             seed=config.seed,
         ),
-        parallel=parallel,
     )
 
 

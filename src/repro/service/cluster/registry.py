@@ -7,9 +7,7 @@ seconds with its live load and any newly cached addresses.  The router
 never polls healthy workers — the registry is updated entirely by these
 pushes, plus the :meth:`overdue` sweep the router's monitor task runs.
 
-Death is a ladder, not a cliff, mirroring the
-:class:`~repro.core.faults.FaultTolerance` degradation ladder the
-solver pool uses:
+Death is a ladder, not a cliff:
 
     alive --(missed heartbeats)--> suspect --(failed probes)--> dead
 

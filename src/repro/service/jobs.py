@@ -5,9 +5,11 @@ a hierarchy and a solver configuration, all expressed as plain JSON
 scalars so the spec has a *canonical hash*: two submissions that mean
 the same partitioning problem (whatever their JSON key order or pin
 order inside nets) hash identically, while any change to a solver knob
-(seed, engine, delta, ...) changes the hash.  That hash is the service's
-content address — the cache key, the dedup key, and the first half of
-every job id.
+(seed, delta, ...) changes the hash.  The metric engine is *how* a spec
+is solved, not *what*: the four metric engines are bit-identical, so
+they share one hash and only ``multilevel-flow`` (a different algorithm)
+hashes apart.  That hash is the service's content address — the cache
+key, the dedup key, and the first half of every job id.
 
 :class:`JobManager` is the asyncio execution core behind the HTTP
 server: a bounded-concurrency queue of :class:`Job` records, each
@@ -20,8 +22,7 @@ with per-job timeouts, cooperative cancellation, retry budgets borrowed
 from :class:`repro.core.faults.FaultTolerance`, and a graceful shutdown
 that drains in-flight jobs.  Failures are *not* a parallel error path:
 every timeout, retry and failure lands on the manager's
-:class:`~repro.core.perf.PerfCounters` via ``record_degradation`` —
-the same machinery the worker-pool ladder uses.
+:class:`~repro.core.perf.PerfCounters` via ``record_degradation``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.core.faults import FaultTolerance
 from repro.core.flow_htp import FlowHTPConfig, FlowHTPResult, flow_htp
-from repro.core.parallel import ParallelConfig
 from repro.core.perf import PerfCounters
 from repro.core.spreading_metric import ENGINES, SpreadingMetricConfig
-from repro.errors import ServiceError, SolverAborted
+from repro.errors import PartitionError, ServiceError, SolverAborted
 from repro.service.journal import Journal
 from repro.htp.hierarchy import HierarchySpec
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioning.multilevel_flow import (
+    SOLVER_ENGINES,
     MultilevelFlowConfig,
     multilevel_flow_htp,
 )
@@ -71,11 +72,63 @@ CONFIG_DEFAULTS: Dict[str, object] = {
     "epsilon": 1e-3,
     "max_rounds": 64,
     "node_sample": 1.0,
-    "workers": None,
     "coarsest_size": None,
     "corridor_hops": 2,
     "refine_passes": 3,
 }
+
+#: Config keys that must be integral JSON numbers (``coarsest_size`` may
+#: also be null).  Integral floats such as ``2.0`` canonicalize to ints.
+_INT_KEYS = (
+    "iterations",
+    "constructions_per_metric",
+    "find_cut_restarts",
+    "seed",
+    "max_rounds",
+    "coarsest_size",
+    "corridor_hops",
+    "refine_passes",
+)
+
+#: Config keys that must be finite JSON numbers (canonicalized to floats).
+_FLOAT_KEYS = ("alpha", "delta", "epsilon", "node_sample")
+
+
+def _canonical_config(raw_config: Dict[str, object]) -> Dict[str, object]:
+    """Type-check a submitted config and fill in the defaults."""
+    unknown = sorted(set(raw_config) - set(CONFIG_DEFAULTS))
+    if unknown:
+        raise ServiceError(
+            f"unknown config keys {unknown}; allowed: "
+            f"{sorted(CONFIG_DEFAULTS)}"
+        )
+    config = dict(CONFIG_DEFAULTS)
+    config.update(raw_config)
+    for key in _INT_KEYS + _FLOAT_KEYS:
+        value = config[key]
+        if value is None and key == "coarsest_size":
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ServiceError(f"config {key!r} must be a number, got {value!r}")
+        if key in _FLOAT_KEYS:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ServiceError(f"config {key!r} must be finite")
+        elif isinstance(value, float):
+            if not value.is_integer():
+                raise ServiceError(
+                    f"config {key!r} must be an integer, got {value!r}"
+                )
+            value = int(value)
+        config[key] = value
+    if config["engine"] not in SOLVER_ENGINES:
+        raise ServiceError(
+            f"unknown engine {config['engine']!r} (choose from {SOLVER_ENGINES})"
+        )
+    return config
 
 
 @dataclass(frozen=True)
@@ -128,20 +181,7 @@ class JobSpec:
         raw_config = payload.get("config", {})
         if not isinstance(raw_config, dict):
             raise ServiceError("job spec 'config' must be a JSON object")
-        unknown = sorted(set(raw_config) - set(CONFIG_DEFAULTS))
-        if unknown:
-            raise ServiceError(
-                f"unknown config keys {unknown}; allowed: "
-                f"{sorted(CONFIG_DEFAULTS)}"
-            )
-        config = dict(CONFIG_DEFAULTS)
-        config.update(raw_config)
-        allowed_engines = ENGINES + ("multilevel-flow",)
-        if config["engine"] not in allowed_engines:
-            raise ServiceError(
-                f"unknown engine {config['engine']!r} "
-                f"(choose from {allowed_engines})"
-            )
+        config = _canonical_config(raw_config)
 
         raw_netlist = payload["netlist"]
         try:
@@ -185,25 +225,40 @@ class JobSpec:
             "branching": list(hierarchy.branching),
             "weights": list(hierarchy.weights),
         }
-        return cls(
+        spec = cls(
             netlist=canonical_netlist,
             hierarchy=canonical_hierarchy,
             config=config,
         )
+        # Build the solver config now so a bad value is a 400 at
+        # admission, not a retried failure mid-solve.
+        try:
+            if config["engine"] == "multilevel-flow":
+                spec.build_multilevel_config()
+            else:
+                spec.build_config()
+        except (ValueError, PartitionError) as exc:
+            raise ServiceError(f"bad config: {exc}") from exc
+        return spec
 
     # ------------------------------------------------------------------
     def canonical_hash(self) -> str:
         """SHA-256 over the canonical JSON form — the content address.
 
-        The instance name is excluded: a spec is *what* to solve, and
-        renaming the netlist does not change the problem.
+        The instance name and the metric engine are excluded: a spec is
+        *what* to solve, and neither renaming the netlist nor picking
+        another bit-identical metric engine changes the answer.  Only
+        ``multilevel-flow``, a different algorithm, hashes apart.
         """
+        config = dict(self.config)
+        if config["engine"] in ENGINES:
+            config["engine"] = "flow"
         doc = {
             "netlist": {
                 k: v for k, v in self.netlist.items() if k != "name"
             },
             "hierarchy": self.hierarchy,
-            "config": self.config,
+            "config": config,
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -238,43 +293,32 @@ class JobSpec:
     def build_multilevel_config(self) -> MultilevelFlowConfig:
         """The spec's V-cycle configuration (``engine: multilevel-flow``)."""
         config = self.config
-        workers = config["workers"]
         return MultilevelFlowConfig(
-            coarsest_size=(
-                None
-                if config["coarsest_size"] is None
-                else int(config["coarsest_size"])
-            ),
-            corridor_hops=int(config["corridor_hops"]),
-            refine_passes=int(config["refine_passes"]),
-            engine="parallel" if workers else "scipy",
-            workers=None if workers is None else int(workers),
-            seed=int(config["seed"]),
+            coarsest_size=config["coarsest_size"],
+            corridor_hops=config["corridor_hops"],
+            refine_passes=config["refine_passes"],
+            seed=config["seed"],
         )
 
     def build_config(self) -> FlowHTPConfig:
         """The spec's solver configuration as a library object."""
         config = self.config
-        parallel = None
-        if config["engine"] == "parallel":
-            parallel = ParallelConfig(workers=config["workers"])
         return FlowHTPConfig(
-            iterations=int(config["iterations"]),
-            constructions_per_metric=int(config["constructions_per_metric"]),
-            find_cut_restarts=int(config["find_cut_restarts"]),
-            find_cut_strategy=str(config["find_cut_strategy"]),
-            net_model=str(config["net_model"]),
-            seed=int(config["seed"]),
+            iterations=config["iterations"],
+            constructions_per_metric=config["constructions_per_metric"],
+            find_cut_restarts=config["find_cut_restarts"],
+            find_cut_strategy=config["find_cut_strategy"],
+            net_model=config["net_model"],
+            seed=config["seed"],
             metric=SpreadingMetricConfig(
-                alpha=float(config["alpha"]),
-                delta=float(config["delta"]),
-                epsilon=float(config["epsilon"]),
-                max_rounds=int(config["max_rounds"]),
-                engine=str(config["engine"]),
-                seed=int(config["seed"]),
-                node_sample=float(config["node_sample"]),
+                alpha=config["alpha"],
+                delta=config["delta"],
+                epsilon=config["epsilon"],
+                max_rounds=config["max_rounds"],
+                engine=config["engine"],
+                seed=config["seed"],
+                node_sample=config["node_sample"],
             ),
-            parallel=parallel,
         )
 
 
@@ -995,16 +1039,11 @@ class JobManager:
                     )
                     return
                 if attempt <= retries:
-                    self.counters.pool_task_retries += 1
+                    self.counters.job_retries += 1
                     self.counters.record_degradation(
                         "job-retry", exc, site="service"
                     )
-                    await asyncio.sleep(
-                        min(
-                            self.tolerance.backoff_cap,
-                            self.tolerance.backoff_base * 2 ** (attempt - 1),
-                        )
-                    )
+                    await asyncio.sleep(self.tolerance.backoff(attempt))
                     continue
                 job.error = repr(exc)
                 job.transition(JobState.FAILED)

@@ -157,14 +157,27 @@ class TestBadInputExitCodes:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
-    def test_bad_workers_exits_2(self, netlist_file, capsys, workers):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["partition", netlist_file, "--engine", "parallel",
-                  "--workers", workers])
-        assert excinfo.value.code == 2
+    @staticmethod
+    def _one_line_error(capsys, flag):
         err = capsys.readouterr().err
-        assert "--workers" in err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert flag in errors[0]
+
+    def test_parallel_engine_is_gone(self, netlist_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition", netlist_file, "--engine", "parallel"])
+        assert excinfo.value.code == 2
+        self._one_line_error(capsys, "--engine")
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two", "2"])
+    def test_bad_workers_exits_2(self, netlist_file, capsys, workers):
+        """The process pool is gone, so any ``--workers`` is refused."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition", netlist_file, "--workers", workers])
+        assert excinfo.value.code == 2
+        self._one_line_error(capsys, "--workers")
 
     @pytest.mark.parametrize("workers", ["0", "nope"])
     def test_search_bad_workers_exits_2(self, netlist_file, capsys, workers):
@@ -175,36 +188,20 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize(
         "plan",
         [
-            "explode:task",            # unknown fault kind
-            "fail:everywhere",         # unknown site
-            "fail:task@bogus=1",       # unknown coordinate
-            "fail:task@dispatch=x",    # non-integer coordinate
-            "fail:task@p=2.0",         # probability outside [0, 1]
-            ";;",                      # empty specs
+            "explode:task",
+            "fail:everywhere",
+            "fail:task@bogus=1",
+            "fail:task@dispatch=x",
+            "fail:task@p=2.0",
+            ";;",
         ],
     )
     def test_bad_fault_plan_exits_2(self, netlist_file, capsys, plan):
+        """Fault injection left with the process pool: any plan is refused."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["partition", netlist_file, "--engine", "parallel",
-                  "--fault-plan", plan])
+            main(["partition", netlist_file, "--fault-plan", plan])
         assert excinfo.value.code == 2
         assert "--fault-plan" in capsys.readouterr().err
-
-    def test_fault_plan_requires_parallel_engine(self, netlist_file, capsys):
-        code = main(["partition", netlist_file, "--engine", "scipy",
-                     "--fault-plan", "fail:task@dispatch=0"])
-        assert code == 2
-        assert "requires --engine parallel" in capsys.readouterr().err
-
-    def test_fault_plan_accepted_and_echoed(self, netlist_file, capsys):
-        code = main(["partition", netlist_file, "--engine", "parallel",
-                     "--height", "2", "--iterations", "1",
-                     "--workers", "2",
-                     "--fault-plan", "fail:task@dispatch=0,task=0"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fault plan: fail:task@dispatch=0,task=0" in out
-        assert "FLOW cost" in out
 
 
 class TestUnreadableInput:

@@ -1,9 +1,10 @@
 """Differential fuzzing: every engine must produce bit-identical metrics.
 
 Random small hypergraphs run through the ``scipy-serial``, ``scipy``,
-``native`` (when the compiled kernel is built) and ``parallel``
-(workers 1, 2, 4) spreading-metric engines with the same seed; any
-disagreement is a determinism bug.  On mismatch the instance is shrunk
+``python`` and ``native`` (when the compiled kernel is built)
+spreading-metric engines with the same seed; any disagreement is a
+determinism bug — and it would also poison the service cache, whose
+content address treats all four engines as one.  On mismatch the instance is shrunk
 (dropping nets while the mismatch reproduces) and written to
 ``tests/regressions/`` as a JSON counterexample, which the
 corpus-replay test below then guards forever.
@@ -28,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.core import _kernel as native_kernel
-from repro.core.parallel import ParallelConfig
 from repro.core.spreading_metric import (
     SpreadingMetricConfig,
     compute_spreading_metric,
@@ -39,8 +39,8 @@ from repro.hypergraph.expansion import to_graph
 
 REGRESSION_DIR = Path(__file__).parent / "regressions"
 
-SERIAL_ENGINES = ("scipy-serial", "scipy")
-PARALLEL_WORKERS = (1, 2, 4)
+#: The cross-product, reference first; ``native`` joins when built.
+ENGINES = ("scipy-serial", "scipy", "python")
 
 
 def _random_netlist(seed: int) -> Hypergraph:
@@ -56,24 +56,16 @@ def _random_netlist(seed: int) -> Hypergraph:
 
 
 def _metric_lengths(netlist: Hypergraph, height: int, seed: int,
-                    engine: str, workers: int = 1) -> np.ndarray:
+                    engine: str) -> np.ndarray:
     spec = binary_hierarchy(
         max(netlist.total_size(), 4), height=height, slack=0.4
     )
     graph = to_graph(netlist, rng=random.Random(seed))
-    parallel = None
-    if engine == "parallel":
-        # autoserial=False keeps real pool coverage in the cross-product
-        # even on a 1-core box.
-        parallel = ParallelConfig(
-            workers=workers, min_sources_per_task=2, autoserial=False
-        )
     config = SpreadingMetricConfig(
         delta=0.1,
         max_rounds=20,
         engine=engine,
         seed=seed,
-        parallel=parallel,
     )
     result = compute_spreading_metric(
         graph, spec, config, rng=random.Random(seed)
@@ -83,19 +75,16 @@ def _metric_lengths(netlist: Hypergraph, height: int, seed: int,
 
 def _first_mismatch(netlist: Hypergraph, height: int, seed: int):
     """(engine_pair, message) of the first engine disagreement, or None."""
-    runs = [("scipy-serial", 1)]
-    runs += [("scipy", 1)]
+    runs = list(ENGINES)
     if native_kernel.available():
         # The compiled kernel joins the cross-product wherever it is
         # built; test_native_engine_present_in_cross_product (skip-marked)
         # documents when it is absent.
-        runs += [("native", 1)]
-    runs += [("parallel", w) for w in PARALLEL_WORKERS]
+        runs.append("native")
     reference = None
     reference_name = None
-    for engine, workers in runs:
-        lengths = _metric_lengths(netlist, height, seed, engine, workers)
-        name = engine if engine != "parallel" else f"parallel/w{workers}"
+    for name in runs:
+        lengths = _metric_lengths(netlist, height, seed, name)
         if reference is None:
             reference, reference_name = lengths, name
             continue
@@ -222,7 +211,7 @@ def test_multilevel_flow_consistent_with_flat_flow(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_engines_bit_identical_on_random_instances(seed):
-    """scipy-serial == scipy == parallel(1,2,4) on random netlists."""
+    """scipy-serial == scipy == python (== native) on random netlists."""
     netlist = _random_netlist(seed)
     height = 2
     mismatch = _first_mismatch(netlist, height, seed)
@@ -261,7 +250,7 @@ def test_shrinker_and_writer_machinery(monkeypatch, tmp_path):
 
     def fake_mismatch(netlist, height, seed):
         if any(tuple(sorted(p)) == (0, 1) for p in netlist.nets()):
-            return (("scipy", "parallel/w2"), "stub mismatch")
+            return (("scipy", "python"), "stub mismatch")
         return None
 
     monkeypatch.setattr(fuzz, "_first_mismatch", fake_mismatch)
@@ -273,12 +262,12 @@ def test_shrinker_and_writer_machinery(monkeypatch, tmp_path):
     assert tuple(sorted(shrunk.net(0))) == (0, 1)
 
     path = fuzz._write_counterexample(
-        shrunk, 2, 9, (("scipy", "parallel/w2"), "stub mismatch")
+        shrunk, 2, 9, (("scipy", "python"), "stub mismatch")
     )
     payload = json.loads(path.read_text())
     assert payload["nets"] == [[0, 1]]
     assert payload["seed"] == 9
-    assert payload["engines"] == ["scipy", "parallel/w2"]
+    assert payload["engines"] == ["scipy", "python"]
 
 
 def _corpus_files():

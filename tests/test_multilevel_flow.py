@@ -8,8 +8,7 @@ Three layers of guarantees:
   the facts that make a :class:`HierarchySpec` stated in absolute sizes
   valid at every level of the V-cycle.
 * **Determinism** — ``multilevel-flow`` is bit-identical across runs for
-  a fixed seed, and across ``workers`` counts (the parallel metric
-  engine is bit-identical to the serial one by contract).
+  a fixed seed.
 * **Wiring** — the CLI engine flag and the service ``JobSpec`` path both
   reach the V-cycle and return valid, serializable results.
 """
@@ -193,33 +192,6 @@ class TestVCycle:
         assert a.cost == b.cost
         assert a.partition.to_dict() == b.partition.to_dict()
 
-    def test_deterministic_across_worker_counts(self):
-        results = [
-            multilevel_flow_htp(
-                self.h,
-                self.spec,
-                MultilevelFlowConfig(
-                    seed=5, engine="parallel", workers=workers
-                ),
-            )
-            for workers in (1, 2)
-        ]
-        assert results[0].cost == results[1].cost
-        assert (
-            results[0].partition.to_dict() == results[1].partition.to_dict()
-        )
-
-    def test_serial_engine_matches_parallel(self):
-        serial = multilevel_flow_htp(
-            self.h, self.spec, MultilevelFlowConfig(seed=5)
-        )
-        parallel = multilevel_flow_htp(
-            self.h,
-            self.spec,
-            MultilevelFlowConfig(seed=5, engine="parallel", workers=2),
-        )
-        assert serial.partition.to_dict() == parallel.partition.to_dict()
-
     def test_result_round_trips_through_dict(self):
         from repro.core.flow_htp import FlowHTPResult
 
@@ -245,8 +217,6 @@ class TestVCycle:
             MultilevelFlowConfig(refiner="annealing")
         with pytest.raises(PartitionError):
             MultilevelFlowConfig(coarse_solver="hmetis")
-        with pytest.raises(PartitionError):
-            MultilevelFlowConfig(engine="cuda")
 
 
 class TestGenerators:

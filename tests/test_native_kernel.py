@@ -1,4 +1,4 @@
-"""The compiled metric kernel tier: bit-identity, fallback, composition.
+"""The compiled metric kernel tier: bit-identity and fallback.
 
 The contract (see ``docs/architecture.md`` §Engines): ``engine='native'``
 is a pure accelerator.  When the C extension is built, every per-source
@@ -6,8 +6,7 @@ first-violation verdict — and therefore the whole metric trajectory —
 is bit-identical to ``scipy-serial``; when it is not built (or is
 disabled via ``REPRO_DISABLE_NATIVE``), the request degrades to the
 batched scipy loop with a recorded, counted fallback and the *results
-do not change*.  The kernel also composes with the parallel engine:
-pool workers answer their snapshot slices natively.
+do not change*.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 
 from repro.core import _kernel as native_kernel
 from repro.core.constraints import SpreadingOracle
-from repro.core.parallel import ParallelConfig
 from repro.core.perf import PerfCounters
 from repro.core.spreading_metric import (
     ENGINES,
@@ -57,9 +55,9 @@ def sized_instance():
     return sized, graph, spec
 
 
-def _metric(graph, spec, engine, seed, parallel=None, counters=None):
+def _metric(graph, spec, engine, seed, counters=None):
     config = SpreadingMetricConfig(
-        delta=0.05, max_rounds=40, engine=engine, seed=seed, parallel=parallel
+        delta=0.05, max_rounds=40, engine=engine, seed=seed
     )
     return compute_spreading_metric(
         graph, spec, config, rng=random.Random(seed), counters=counters
@@ -106,39 +104,6 @@ class TestKernelBitIdentity:
             reference = oracle.violation_for(source, mode="first")
             _settled, got = kernel.check(source)
             assert got == reference
-
-    def test_partial_dist_rows_are_a_settled_prefix(self, instance):
-        """Worker-shipped rows agree with scipy wherever they are finite."""
-        _, graph, spec = instance
-        oracle = SpreadingOracle(graph, spec)
-        rng = np.random.default_rng(3)
-        oracle.set_lengths(rng.uniform(0.0, 0.2, graph.num_edges))
-        oracle.install_weights()
-        kernel = native_kernel.NativeMetricKernel(graph, spec, tol=oracle.tol)
-        for source in list(graph.nodes())[:16]:
-            row = np.full(graph.num_nodes, np.inf)
-            settled, _ = kernel.check(source, out_row=row)
-            finite = np.isfinite(row)
-            assert int(finite.sum()) == settled
-            scipy_row = oracle.batch_check([source], mode="first").dist[0]
-            assert np.array_equal(row[finite], scipy_row[finite])
-            assert row[source] == 0.0
-
-    def test_parallel_composes_with_native_workers(self, instance):
-        _, graph, spec = instance
-        baseline = _metric(graph, spec, "scipy", seed=0)
-        counters = PerfCounters()
-        parallel = ParallelConfig(
-            workers=2, min_sources_per_task=2, autoserial=False
-        )
-        result = _metric(
-            graph, spec, "parallel", seed=0, parallel=parallel,
-            counters=counters,
-        )
-        assert result.lengths.tolist() == baseline.lengths.tolist()
-        assert result.rounds == baseline.rounds
-        assert counters.pool_dispatches > 0
-        assert counters.pool_fallbacks == 0
 
     def test_phase_breakdown_recorded(self, instance):
         _, graph, spec = instance
@@ -193,30 +158,6 @@ class TestDegradation:
         result = _metric(graph, spec, "native", seed=4, counters=counters)
         assert result.lengths.tolist() == baseline.lengths.tolist()
         assert counters.native_fallbacks == 1
-
-    @needs_kernel
-    def test_pool_payload_respects_disable(self, instance, monkeypatch):
-        """Workers asked to go native fall back quietly when disabled."""
-        from repro.core.parallel import MetricWorkerPool
-
-        _, graph, spec = instance
-        monkeypatch.setenv(native_kernel.DISABLE_ENV, "1")
-        baseline = _metric(graph, spec, "scipy", seed=0)
-        parallel = ParallelConfig(
-            workers=2, min_sources_per_task=2, autoserial=False
-        )
-        with MetricWorkerPool(
-            graph, spec, parallel=parallel, use_native=True
-        ) as pool:
-            config = SpreadingMetricConfig(
-                delta=0.05, max_rounds=40, engine="parallel", seed=0,
-                parallel=parallel,
-            )
-            result = compute_spreading_metric(
-                graph, spec, config, rng=random.Random(0), pool=pool,
-                spawn_pool=False,
-            )
-        assert result.lengths.tolist() == baseline.lengths.tolist()
 
 
 class TestCLI:

@@ -106,6 +106,26 @@ class TestEndToEnd:
         assert perf_after_warm["injections"] == perf_after_cold["injections"]
         assert perf_after_warm["cache_hits"] == 1
 
+    def test_native_submission_hits_the_scipy_result(
+        self, client, spec, netlist, hierarchy
+    ):
+        """The content address ignores the (bit-identical) metric engine."""
+        cold = client.submit_spec(spec)
+        client.wait(cold["job_id"])
+        cold_payload = client.result(cold["job_id"])
+        perf_after_cold = client.metricsz()["perf"]
+
+        native = JobSpec.from_parts(
+            netlist, hierarchy, {"iterations": 1, "engine": "native"}
+        )
+        warm = client.submit_spec(native)
+        assert warm["cached"] is True
+        assert warm["spec_hash"] == cold["spec_hash"]
+        assert client.result(warm["job_id"]) == cold_payload
+        perf_after_warm = client.metricsz()["perf"]
+        for counter in ("dijkstra_calls", "injections", "cut_evals"):
+            assert perf_after_warm[counter] == perf_after_cold[counter]
+
     def test_warm_hit_survives_server_restart(self, tmp_path, spec):
         """The disk tier makes warmth durable across processes."""
         cache_dir = tmp_path / "blobs"
@@ -239,6 +259,40 @@ class TestHttpProtocol:
         with pytest.raises(ServiceClientError) as excinfo:
             client.submit({"netlist": {}, "hierarchy": "wat"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"iterations": 0},
+            {"iterations": "abc"},
+            {"delta": -1},
+            {"find_cut_strategy": "bogus"},
+            {"net_model": "bogus"},
+            {"seed": 1.5},
+            {"workers": 3},
+        ],
+    )
+    def test_invalid_config_is_400_and_never_journaled(
+        self, tmp_path, spec, override
+    ):
+        """Bad values fail admission instead of failing mid-solve."""
+        from repro.service import Journal
+
+        thread = ServerThread(
+            manager_kwargs={"journal": Journal(tmp_path / "wal")}
+        )
+        try:
+            client = ServiceClient(thread.url)
+            payload = spec.to_payload()
+            payload["config"].update(override)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.submit(payload)
+            assert excinfo.value.status == 400
+            assert next(iter(override)) in str(excinfo.value)
+            assert client.metricsz()["journal"]["appended"] == 0
+            assert client.jobs()["jobs"] == []
+        finally:
+            thread.stop()
 
     def test_result_before_done_is_409(self, client, netlist, hierarchy):
         release = threading.Event()

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.core.faults import FaultTolerance
+from repro.core.spreading_metric import ENGINES
 from repro.errors import ServiceError
 from repro.htp.hierarchy import binary_hierarchy
 from repro.hypergraph.generators import planted_hierarchy_hypergraph
@@ -81,7 +82,7 @@ class TestJobSpecHashing:
         "override",
         [
             {"seed": 1},
-            {"engine": "scipy-serial"},
+            {"engine": "multilevel-flow"},
             {"iterations": 3},
             {"delta": 0.5},
             {"node_sample": 0.5},
@@ -91,6 +92,20 @@ class TestJobSpecHashing:
         assert (
             make_spec(netlist, hierarchy, **override).canonical_hash()
             != make_spec(netlist, hierarchy).canonical_hash()
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_metric_engines_share_one_hash(self, netlist, hierarchy, engine):
+        """Bit-identical engines are *how*, not *what*: one address."""
+        assert (
+            make_spec(netlist, hierarchy, engine=engine).canonical_hash()
+            == make_spec(netlist, hierarchy).canonical_hash()
+        )
+
+    def test_integral_floats_hash_like_ints(self, netlist, hierarchy):
+        assert (
+            make_spec(netlist, hierarchy, seed=3.0, iterations=2.0).canonical_hash()
+            == make_spec(netlist, hierarchy, seed=3).canonical_hash()
         )
 
     def test_netlist_changes_change_the_hash(self, netlist, hierarchy):
@@ -314,7 +329,7 @@ class TestJobManager:
         assert job.state is JobState.FAILED
         assert "boom" in job.error
         assert len(attempts) == 3  # first try + 2 retries
-        assert manager.counters.pool_task_retries == 2
+        assert manager.counters.job_retries == 2
         assert any(
             r["action"] == "job-failed" for r in manager.counters.degradations
         )
