@@ -1,6 +1,6 @@
 # Convenience targets; see scripts/verify.sh for the canonical check.
 
-.PHONY: verify test chaos coverage bench-micro bench-service bench-multilevel bench-optimality bench-cluster docs-check serve-smoke cluster-smoke cluster-partition-smoke
+.PHONY: verify test chaos coverage bench-micro bench-service bench-multilevel bench-optimality bench-cluster bench-e2e-selftest docs-check serve-smoke cluster-smoke cluster-partition-smoke
 
 verify:
 	sh scripts/verify.sh
@@ -40,6 +40,11 @@ cluster-smoke:
 # fencing epoch and the zombie primary's forwards must be refused.
 cluster-partition-smoke:
 	PYTHONPATH=src python scripts/cluster_smoke.py --drill partition
+
+# Self-test of the end-to-end benchmark harness (benchmarks/e2e): every
+# BENCHMARK.json workload once untraced and once traced at smoke size.
+bench-e2e-selftest:
+	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 
 # Refresh the checked-in micro-bench trajectory (BENCH_micro.json).
 bench-micro:

@@ -5,8 +5,11 @@
 # suite, a collect-only guard keeping every benchmark file importable
 # (they are not part of tier-1, so a stray import error would
 # otherwise go unnoticed until someone tries to reproduce a table),
-# a budget-capped multilevel scaling smoke (the whole V-cycle on tiny
-# Rent instances), an optimality-gap smoke (FLOW vs the exact oracles
+# the end-to-end benchmark harness self-test (every BENCHMARK.json
+# workload once untraced and once traced at smoke size, so the layer
+# names its tracer wraps must still exist), a budget-capped multilevel
+# scaling smoke (the whole V-cycle on tiny Rent instances), an
+# optimality-gap smoke (FLOW vs the exact oracles
 # on the golden corpus; ILP rows SKIP without pulp), the service smoke
 # (htp serve / htp submit as real processes: cold
 # solve, warm cache hit, graceful drain), the cluster smoke (htp route
@@ -51,6 +54,9 @@ python -m pytest -m chaos -q
 
 echo "== benchmark import guard =="
 python -m pytest benchmarks/bench_micro.py benchmarks/bench_spreading_batch.py --co -q
+
+echo "== end-to-end benchmark harness self-test =="
+python -m pytest benchmarks/e2e -q
 
 echo "== multilevel scaling smoke (REPRO_BENCH_SCALE=0.02) =="
 # Budget-capped: ~200/2000-node instances keep this under ~10s while

@@ -309,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="register this worker with a cluster router (htp route) and "
-        "heartbeat until shutdown; placement needs a shared "
-        "--checkpoint-dir across workers for bit-identical failover",
+        "heartbeat until shutdown; with a private --checkpoint-dir per "
+        "worker, frames replicate to peers over HTTP for bit-identical "
+        "failover",
     )
     serve.add_argument(
         "--worker-id",
@@ -779,8 +780,13 @@ def _cmd_separator(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.cache import ResultCache
+    from repro.service.jobs import JobManager
     from repro.service.journal import Journal
-    from repro.service.server import DEFAULT_PORT, serve
+    from repro.service.server import (
+        DEFAULT_PORT,
+        PartitionServer,
+        run_until_signalled,
+    )
 
     port = args.port if args.port is not None else DEFAULT_PORT
     manager_kwargs = {
@@ -808,16 +814,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    return serve(
-        host=args.host,
-        port=port,
-        manager_kwargs=manager_kwargs,
-        join_kwargs=join_kwargs,
-    )
+
+    def make_server() -> PartitionServer:
+        manager = JobManager(**manager_kwargs)
+        server = PartitionServer(manager, host=args.host, port=port)
+        server.join_kwargs = join_kwargs
+        return server
+
+    return run_until_signalled(make_server)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.service.cluster.router import DEFAULT_ROUTER_PORT, route
+    from repro.service.cluster.router import (
+        DEFAULT_ROUTER_PORT,
+        ClusterRouter,
+        RouterServer,
+    )
+    from repro.service.server import run_until_signalled
 
     port = args.port if args.port is not None else DEFAULT_ROUTER_PORT
     if args.standby is not None and args.journal is None:
@@ -836,12 +849,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
         "probe_retries": args.probe_retries,
         "replicas": args.replicas,
     }
-    return route(
-        host=args.host,
-        port=port,
-        router_kwargs=router_kwargs,
-        standby_of=args.standby,
-        epoch_timeout=args.epoch_timeout,
+    return run_until_signalled(
+        lambda: RouterServer(
+            ClusterRouter(**router_kwargs),
+            host=args.host,
+            port=port,
+            standby_of=args.standby,
+            epoch_timeout=args.epoch_timeout,
+        )
     )
 
 

@@ -12,7 +12,8 @@ Layers (each importable on its own):
   over optional on-disk CRC-enveloped JSON blobs keyed by the JobSpec
   hash (corrupt blobs quarantine to a miss, never an exception);
 - :mod:`repro.service.server` — the stdlib HTTP front end
-  (:class:`PartitionServer`, :class:`ServerThread`, :func:`serve`);
+  (:class:`PartitionServer`, :class:`ServerThread`,
+  :func:`run_until_signalled`);
 - :mod:`repro.service.client` — the blocking :class:`ServiceClient`
   (idempotent reads retry reset connections with bounded backoff).
 
@@ -32,11 +33,13 @@ from repro.service.jobs import (
     JobManager,
     JobSpec,
     JobState,
+    ResultNotReady,
     TERMINAL_STATES,
+    UnknownJobError,
     run_spec,
 )
 from repro.service.journal import Journal, RecoveredJob, RecoveredState, replay
-from repro.service.server import PartitionServer, ServerThread, serve
+from repro.service.server import PartitionServer, ServerThread
 
 __all__ = [
     "CONFIG_DEFAULTS",
@@ -51,11 +54,12 @@ __all__ = [
     "RecoveredJob",
     "RecoveredState",
     "ResultCache",
+    "ResultNotReady",
     "ServerThread",
     "ServiceClient",
     "ServiceClientError",
     "TERMINAL_STATES",
+    "UnknownJobError",
     "replay",
     "run_spec",
-    "serve",
 ]

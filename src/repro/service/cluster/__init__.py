@@ -1,16 +1,14 @@
 """Cluster tier: a router placing content-addressed jobs on N workers.
 
-ROADMAP item 1 — "one box is not a service".  The pieces:
+The pieces:
 
 - :mod:`~repro.service.cluster.ring` — weighted consistent hashing.
 - :mod:`~repro.service.cluster.placement` — pluggable placement
   policies (``hash``, ``capacity``).
 - :mod:`~repro.service.cluster.registry` — worker membership,
   heartbeats, and the alive → suspect → dead ladder.
-- :mod:`~repro.service.cluster.journal` — the router's write-ahead
-  placement journal replay.
 - :mod:`~repro.service.cluster.router` — the router core + HTTP front
-  end (``htp route``).
+  end (``htp route``), on the worker's journal and job endpoints.
 - :mod:`~repro.service.cluster.agent` — the worker-side join/heartbeat
   daemon (``htp serve --join``).
 - :mod:`~repro.service.cluster.replication` — shared-nothing failover:
@@ -22,12 +20,6 @@ See ``docs/cluster.md`` for the topology and failover walkthrough.
 """
 
 from repro.service.cluster.agent import WorkerAgent, default_worker_id
-from repro.service.cluster.journal import (
-    CLUSTER_RECORD_TYPES,
-    RecoveredCluster,
-    RecoveredPlacement,
-    replay_cluster,
-)
 from repro.service.cluster.placement import (
     POLICIES,
     CapacityPolicy,
@@ -51,17 +43,12 @@ from repro.service.cluster.router import (
     ROUTER_CACHE,
     ClusterRouter,
     NoCapacityError,
-    ResultNotReady,
-    RouterBusyError,
     RouterJob,
     RouterServer,
     RouterThread,
-    UnknownJobError,
-    route,
 )
 
 __all__ = [
-    "CLUSTER_RECORD_TYPES",
     "CapacityPolicy",
     "CheckpointReplicator",
     "ClusterRouter",
@@ -73,14 +60,9 @@ __all__ = [
     "PeerInfo",
     "PlacementPolicy",
     "ROUTER_CACHE",
-    "RecoveredCluster",
-    "RecoveredPlacement",
-    "ResultNotReady",
-    "RouterBusyError",
     "RouterJob",
     "RouterServer",
     "RouterThread",
-    "UnknownJobError",
     "WORKER_STATES",
     "WorkerAgent",
     "WorkerInfo",
@@ -88,7 +70,5 @@ __all__ = [
     "default_worker_id",
     "key_position",
     "make_policy",
-    "replay_cluster",
     "replica_owners",
-    "route",
 ]

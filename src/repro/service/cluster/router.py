@@ -2,10 +2,11 @@
 
 ``htp route`` runs one of these in front of any number of ``htp serve
 --join`` workers.  Clients speak the *same* wire dialect to the router
-as to a single worker (``POST /jobs``, poll ``GET /jobs/<id>``, fetch
-``GET /jobs/<id>/result``), so ``htp submit`` and
-:class:`~repro.service.client.ServiceClient` work against either
-unchanged; the router adds the membership endpoints the worker agents
+as to a single worker: the router serves the job endpoints with the
+worker's own code (:class:`~repro.service.server.HttpServerBase` over a
+:class:`ClusterRouter` instead of a ``JobManager``), so ``htp submit``
+and :class:`~repro.service.client.ServiceClient` work against either
+unchanged.  The router adds the membership endpoints the worker agents
 push to (``/workers/join``, ``/workers/<id>/heartbeat``).
 
 A submission flows through three tiers:
@@ -19,30 +20,35 @@ A submission flows through three tiers:
    entry costs one failed lookup, never a wrong answer.
 3. **Placement** — the configured policy (``hash`` or ``capacity``, see
    :mod:`~repro.service.cluster.placement`) picks an alive,
-   engine-capable worker; the placement is journaled *before* the
-   forward (write-ahead, like the worker's own job journal) and the
-   worker's job id is journaled after, so a restarted router owes its
-   clients exactly what the dead one did.
+   engine-capable worker.
+
+The router keeps the worker's journal (:mod:`repro.service.journal`):
+``submitted`` is written before any placement, ``forwarded`` names the
+worker that acknowledged the job and its job id there, and ``state``
+records the terminal state, so a restarted router owes its clients
+exactly what the dead one did.  A job journaled but never forwarded has
+no owner after a restart; the monitor's orphan sweep places it again.
 
 Failure handling mirrors the repo's FaultTolerance ladder — retry,
 reroute, mark dead: a connection-refused forward marks the worker dead
-and tries the next eligible one (journaled as ``rerouted``); a worker
-that stops heartbeating is probed, suspected, then declared dead, and
-its in-flight jobs are re-placed.  Workers are shared-nothing: each
-keeps a private checkpoint root, and checkpoint frames are replicated
-peer-to-peer (see :mod:`~repro.service.cluster.replication`), so the
-replacement worker fetches the dead one's newest replicated frame and
-produces a bit-identical result (the chaos tier proves this end to
-end).  Completed results are likewise write-through-replicated to extra
-ring owners so a cached answer survives its producer's death.
+and tries the next eligible one; a worker that stops heartbeating is
+probed, suspected, then declared dead, and its in-flight jobs are
+re-placed (a ``forwarded`` record naming another worker is the
+reroute).  Workers are shared-nothing: each keeps a private checkpoint
+root, and checkpoint frames are replicated peer-to-peer (see
+:mod:`~repro.service.cluster.replication`), so the replacement worker
+fetches the dead one's newest replicated frame and produces a
+bit-identical result (the chaos tier proves this end to end).
+Completed results are likewise write-through-replicated to extra ring
+owners so a cached answer survives its producer's death.
 
 The router itself fails over: ``htp route --standby <primary>`` runs a
-warm standby that tails the primary's placement WAL (``GET
-/wal?since=<seq>``) into its own journal and takes over after
-``epoch_timeout`` seconds of failed polls.  Every forward is stamped
-with the router's **fencing epoch** (journaled, monotonically growing
-across recoveries); workers refuse forwards carrying an older epoch, so
-a zombie primary that lost a takeover race can never place work.
+warm standby that tails the primary's WAL (``GET /wal?since=<seq>``)
+into its own journal and takes over after ``epoch_timeout`` seconds of
+failed polls.  Every forward is stamped with the router's **fencing
+epoch** (journaled as ``epoch``, monotonically growing across
+recoveries); workers refuse forwards carrying an older epoch, so a
+zombie primary that lost a takeover race can never place work.
 
 All internal deadline arithmetic (heartbeats, monitor grace) runs on an
 injectable monotonic clock; only client-visible timestamps
@@ -53,8 +59,6 @@ journaled and cross process boundaries.
 from __future__ import annotations
 
 import asyncio
-import re
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -66,50 +70,32 @@ from repro.core.perf import PerfCounters
 from repro.errors import ServiceError
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.cluster.journal import replay_cluster
 from repro.service.cluster.placement import make_policy, replica_owners
 from repro.service.cluster.registry import WorkerInfo, WorkerRegistry
-from repro.service.jobs import JobSpec
-from repro.service.journal import Journal
-from repro.service.server import HttpServerBase, _HttpError
+from repro.service.jobs import (
+    TERMINAL_STATES,
+    AdmissionError,
+    JobSpec,
+    JobState,
+    ResultNotReady,
+    UnknownJobError,
+)
+from repro.service.journal import Journal, state_record, submitted_record
+from repro.service.server import HttpServerBase, ServerThread, _HttpError
 
-#: Pseudo-worker recorded in the journal for jobs answered by a cache
-#: tier (no real worker ever saw them).
+#: Pseudo-worker shown for jobs answered by a cache tier (no real
+#: worker ever saw them).
 ROUTER_CACHE = "router-cache"
 
 #: Default TCP port of ``htp route`` (the worker default plus one).
 DEFAULT_ROUTER_PORT = 8948
 
 #: Terminal router job states (the same wire values a worker serves).
-_TERMINAL = ("done", "failed", "cancelled")
-
-_SEQ_RE = re.compile(r"-r(\d+)$")
-
-
-class UnknownJobError(ServiceError):
-    """No routed job under that id (HTTP 404)."""
+_TERMINAL = tuple(state.value for state in TERMINAL_STATES)
 
 
 class NoCapacityError(ServiceError):
     """No alive, engine-capable worker to place on (HTTP 503)."""
-
-
-class RouterBusyError(ServiceError):
-    """The chosen worker answered 429; carries its Retry-After hint."""
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class ResultNotReady(ServiceError):
-    """Result requested before the job is done (HTTP 409)."""
-
-    def __init__(self, message: str, state: str,
-                 job_error: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.state = state
-        self.job_error = job_error
 
 
 @dataclass
@@ -117,9 +103,12 @@ class RouterJob:
     """One routed job as the router tracks it.
 
     ``state`` always holds a client-visible
-    :class:`~repro.service.jobs.JobState` wire value — a job the router
-    has accepted but not yet (re)forwarded reports ``queued``, exactly
-    like a worker-local job waiting in the admission queue.
+    :class:`~repro.service.jobs.JobState` wire value, but it is a view
+    of a job running elsewhere: a reroute moves it ``running -> queued``
+    and a refused forward ``queued -> failed``, moves a local
+    :class:`~repro.service.jobs.Job` may never make.  ``worker`` and
+    ``worker_job_id`` name the worker that acknowledged the job (None
+    until one has); ``forwarding`` is set while a forward is in flight.
     """
 
     job_id: str
@@ -134,8 +123,7 @@ class RouterJob:
     submitted_at: float = field(default_factory=time.time)
     deadline_epoch: Optional[float] = None
     reroutes: int = 0
-    placed_journaled: bool = False
-    rerouting: bool = False
+    forwarding: bool = False
 
     @property
     def engine(self) -> Optional[str]:
@@ -289,7 +277,8 @@ class ClusterRouter:
     def heartbeat(
         self, worker_id: str, payload: Dict[str, object]
     ) -> Dict[str, object]:
-        """Record a heartbeat; raises UnknownJobError-style 404 via False."""
+        """Record a heartbeat; :class:`UnknownJobError` (404) tells a
+        worker that is not a live member to re-register."""
         in_flight = payload.get("in_flight")
         cached_keys = payload.get("cached_keys", ())
         if not isinstance(cached_keys, (list, tuple)):
@@ -351,7 +340,7 @@ class ClusterRouter:
     def wal_records(self, since: int) -> Dict[str, object]:
         """The journal's valid records from position ``since`` on.
 
-        Positional, not keyed: cluster records carry no sequence
+        Positional, not keyed: journal records carry no sequence
         numbers, so the standby's cursor is simply how many valid
         records it already holds.  Torn lines are dropped by ``scan``
         (counted on ``journal_torn_records``), which keeps both sides'
@@ -372,49 +361,41 @@ class ClusterRouter:
     # The client-facing job API
     # ------------------------------------------------------------------
     def submit(
-        self,
-        payload: Dict[str, object],
-        deadline: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Place one spec payload; returns the router job status doc."""
-        spec = JobSpec.from_payload(payload)  # ServiceError -> 400
+        self, spec: JobSpec, deadline: Optional[float] = None
+    ) -> RouterJob:
+        """Answer ``spec`` from a cache tier or place it on a worker.
+
+        Raises :class:`NoCapacityError` (nothing journaled) when no
+        alive worker supports the spec's engine, :class:`AdmissionError`
+        when the chosen worker's queue is full and :class:`ServiceError`
+        when it refused the job; those two leave the job ``failed``.
+        """
         spec_hash = spec.canonical_hash()
         with self._lock:
             cached = self.cache.get(spec_hash)
         if cached is None:
-            cached = self._remote_lookup(spec_hash)
-        if cached is not None:
-            with self._lock:
-                job = self._new_job(spec, spec_hash, deadline)
-                job.state = "done"
+            cached = self._lookup(spec_hash)
+        engine = str(spec.config["engine"])
+        with self._lock:
+            if cached is None and not self.registry.alive(engine):
+                raise NoCapacityError(
+                    f"no alive worker supporting engine {engine!r} to "
+                    "place the job on"
+                )
+            job = self._new_job(spec, spec_hash, deadline)
+            if cached is not None:
                 job.cached = True
                 job.worker = ROUTER_CACHE
                 job.result_payload = cached
-                job.placed_journaled = True
-                self._append(
-                    {
-                        "type": "placed",
-                        "job_id": job.job_id,
-                        "spec_hash": spec_hash,
-                        "spec": job.spec_payload,
-                        "worker": ROUTER_CACHE,
-                        "submitted_at": job.submitted_at,
-                        "deadline_epoch": job.deadline_epoch,
-                    }
-                )
-                self._append(
-                    {
-                        "type": "resolved",
-                        "job_id": job.job_id,
-                        "state": "done",
-                    }
-                )
-                return job.status()
-        with self._lock:
-            job = self._new_job(spec, spec_hash, deadline)
-        self._forward(job)
-        with self._lock:
-            return job.status()
+                self._resolve(job, "done", error=None)
+                return job
+            job.forwarding = True
+        try:
+            self._forward(job)
+        finally:
+            with self._lock:
+                job.forwarding = False
+        return job
 
     def get(self, job_id: str) -> RouterJob:
         with self._lock:
@@ -423,9 +404,9 @@ class ClusterRouter:
             raise UnknownJobError(f"unknown job {job_id!r}")
         return job
 
-    def jobs(self) -> List[Dict[str, object]]:
+    def jobs(self) -> List[RouterJob]:
         with self._lock:
-            return [job.status() for job in self._jobs.values()]
+            return list(self._jobs.values())
 
     def status(self, job_id: str) -> Dict[str, object]:
         """The job's status, refreshed from its worker when in flight."""
@@ -445,7 +426,7 @@ class ClusterRouter:
         return self._absorb_remote(job, remote)
 
     def result(self, job_id: str) -> Dict[str, object]:
-        """The result payload; 409-shaped ResultNotReady until done."""
+        """The result payload; :class:`ResultNotReady` until done."""
         self.status(job_id)  # refresh terminal state from the worker
         job = self.get(job_id)
         with self._lock:
@@ -455,9 +436,9 @@ class ClusterRouter:
                     state=job.state,
                     job_error=job.error,
                 )
-            if job.result_payload is not None:
-                return dict(job.result_payload)
-        payload = self._fetch_result(job)
+            payload = job.result_payload or self.cache.get(job.spec_hash)
+        if payload is None:
+            payload = self._lookup(job.spec_hash, first=job.worker)
         if payload is None:
             raise ServiceError(
                 f"job {job.job_id} is done but its result payload is "
@@ -468,11 +449,11 @@ class ClusterRouter:
             job.result_payload = payload
             return dict(payload)
 
-    def cancel(self, job_id: str) -> Dict[str, object]:
+    def cancel(self, job_id: str) -> RouterJob:
         job = self.get(job_id)
         with self._lock:
             if job.state in _TERMINAL:
-                return job.status()
+                return job
             worker_job_id = job.worker_job_id
             url = self._worker_url(job.worker)
         if worker_job_id is not None and url is not None:
@@ -483,19 +464,16 @@ class ClusterRouter:
         with self._lock:
             if job.state not in _TERMINAL:
                 self._resolve(job, "cancelled", error=None)
-            return job.status()
+            return job
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def state_counts(self) -> Dict[str, int]:
-        counts = {
-            state: 0
-            for state in ("queued", "running", "done", "failed", "cancelled")
-        }
+        counts = {state.value: 0 for state in JobState}
         with self._lock:
             for job in self._jobs.values():
-                counts[job.state] = counts.get(job.state, 0) + 1
+                counts[job.state] += 1
         return counts
 
     def metrics(self) -> Dict[str, object]:
@@ -532,7 +510,7 @@ class ClusterRouter:
     # Recovery
     # ------------------------------------------------------------------
     def recover(self) -> Dict[str, int]:
-        """Replay the placement journal into the job table.
+        """Replay the journal into the job table.
 
         Also adopts the next fencing epoch: ``max(journaled) + 1``,
         journaled immediately so the *next* incarnation (or a standby
@@ -540,44 +518,35 @@ class ClusterRouter:
         ``router_epoch_bumps`` only when an earlier epoch existed — a
         fresh journal starts at epoch 1 without a bump.
         """
-        summary = {"recovered": 0, "open": 0, "resolved": 0, "skipped": 0}
         if self.journal is None:
-            return summary
-        recovered = replay_cluster(self.journal.scan())
-        self.counters.journal_replayed += recovered.replayed
-        summary["skipped"] = recovered.skipped
+            return dict(recovered=0, open=0, resolved=0, skipped=0)
+        recovered = self.journal.recover()
+        open_jobs = 0
         with self._lock:
             if recovered.epoch > 0:
                 self.epoch = recovered.epoch + 1
                 self.counters.router_epoch_bumps += 1
             self._append({"type": "epoch", "epoch": self.epoch})
-            for placement in recovered.in_order():
-                job = RouterJob(
-                    job_id=placement.job_id,
-                    spec_hash=placement.spec_hash,
-                    spec_payload=placement.spec_payload,
-                    worker=placement.worker,
-                    worker_job_id=placement.worker_job_id,
-                    submitted_at=placement.submitted_at or time.time(),
-                    deadline_epoch=placement.deadline_epoch,
-                    reroutes=placement.reroutes,
-                    placed_journaled=True,
-                )
-                if placement.state in _TERMINAL:
-                    job.state = placement.state
-                    job.error = placement.error
-                    job.cached = placement.worker == ROUTER_CACHE
-                    summary["resolved"] += 1
-                else:
+            for entry in recovered.in_order():
+                job = RouterJob(**vars(entry))
+                job.submitted_at = entry.submitted_at or time.time()
+                if job.state not in _TERMINAL:
                     job.state = "queued"
-                    summary["open"] += 1
+                    open_jobs += 1
+                elif job.cached and job.worker is None:
+                    job.worker = ROUTER_CACHE  # answered, never forwarded
                 self._jobs[job.job_id] = job
-                summary["recovered"] += 1
-                match = _SEQ_RE.search(placement.job_id)
-                if match:
-                    self._seq = max(self._seq, int(match.group(1)) + 1)
+                suffix = entry.job_id.rsplit("-r", 1)[-1]
+                if suffix.isdigit():
+                    self._seq = max(self._seq, int(suffix) + 1)
             self._started_at = self._clock()
-        return summary
+        total = len(recovered.jobs)
+        return dict(
+            recovered=total,
+            open=open_jobs,
+            resolved=total - open_jobs,
+            skipped=recovered.skipped,
+        )
 
     def close(self) -> None:
         if self.journal is not None:
@@ -611,7 +580,9 @@ class ClusterRouter:
                 with self._lock:
                     # A successful probe counts as the missed heartbeat.
                     self.registry.heartbeat(worker_id)
-        # Orphan rescue: jobs whose worker is unknown (router restarted,
+        # Orphan rescue: jobs no worker acknowledged (journaled but never
+        # forwarded before a router restart, or parked with no eligible
+        # worker) and jobs whose worker is unknown (router restarted,
         # worker never rejoined) or already dead.  Grace-delayed so a
         # restarting cluster gets one heartbeat budget to reassemble
         # before the router starts re-placing work.
@@ -625,7 +596,7 @@ class ClusterRouter:
                 job
                 for job in self._jobs.values()
                 if job.state not in _TERMINAL
-                and not job.rerouting
+                and not job.forwarding
                 and self._worker_state(job.worker) in (None, "dead")
             ]
         for job in orphans:
@@ -639,7 +610,7 @@ class ClusterRouter:
                 for job in self._jobs.values()
                 if job.worker == worker_id
                 and job.state not in _TERMINAL
-                and not job.rerouting
+                and not job.forwarding
             ]
         for job in victims:
             self._reroute_job(job)
@@ -654,6 +625,7 @@ class ClusterRouter:
         spec_hash: str,
         deadline: Optional[float],
     ) -> RouterJob:
+        """Create and journal a job (caller holds the lock)."""
         job_id = f"{spec_hash[:12]}-r{self._seq:04d}"
         self._seq += 1
         job = RouterJob(
@@ -663,6 +635,15 @@ class ClusterRouter:
             deadline_epoch=(
                 time.time() + deadline if deadline is not None else None
             ),
+        )
+        self._append(
+            submitted_record(
+                job_id,
+                spec_hash,
+                job.spec_payload,
+                job.submitted_at,
+                job.deadline_epoch,
+            )
         )
         self._jobs[job_id] = job
         return job
@@ -676,16 +657,12 @@ class ClusterRouter:
             return client
 
     def _worker_url(self, worker_id: Optional[str]) -> Optional[str]:
-        if worker_id is None or worker_id == ROUTER_CACHE:
-            return None
         try:
-            return self.registry.get(worker_id).url
+            return self.registry.get(worker_id or "").url
         except ServiceError:
             return None
 
     def _worker_state(self, worker_id: Optional[str]) -> Optional[str]:
-        if worker_id == ROUTER_CACHE:
-            return "alive"  # never orphaned: cache answers are terminal
         try:
             return self.registry.get(worker_id or "").state
         except ServiceError:
@@ -701,25 +678,28 @@ class ClusterRouter:
         """Terminal transition (caller holds the lock)."""
         job.state = state
         job.error = error
-        record: Dict[str, object] = {
-            "type": "resolved",
-            "job_id": job.job_id,
-            "state": state,
-        }
-        if error is not None:
-            record["error"] = error
-        self._append(record)
+        self._append(state_record(job.job_id, state, error, job.cached))
         worker = self.registry._workers.get(job.worker or "")
         if worker is not None:
             worker.in_flight = max(0, worker.in_flight - 1)
 
-    def _remote_lookup(self, spec_hash: str) -> Optional[Dict[str, object]]:
-        """Read-through: fetch a result from a worker that reported it."""
+    def _lookup(
+        self, spec_hash: str, first: Optional[str] = None
+    ) -> Optional[Dict[str, object]]:
+        """Read-through: fetch a result from a worker's durable cache.
+
+        Tries ``first`` (a done job's own worker) before the workers the
+        cache index names, and installs a hit in the router's LRU.
+        """
         with self._lock:
             owners = [
                 (worker.worker_id, worker.url)
                 for worker in self.registry.cache_owners(spec_hash)
+                if worker.worker_id != first
             ]
+            url = self._worker_url(first)
+            if url is not None:
+                owners.insert(0, (first, url))
         for worker_id, url in owners:
             try:
                 payload = self._client(url).cache_lookup(spec_hash)
@@ -738,15 +718,13 @@ class ClusterRouter:
             return payload
         return None
 
-    def _forward(self, job: RouterJob, exclude: Set[str] = frozenset()) -> bool:
-        """Place + submit ``job`` to a worker, walking the reroute ladder.
+    def _forward(self, job: RouterJob, exclude: Set[str] = frozenset()) -> None:
+        """Submit ``job`` to a worker, walking the reroute ladder.
 
-        Returns True when a worker acknowledged the submission, False
-        when no eligible worker remains *and* the job already has a
-        journaled placement (it stays ``queued`` for the next monitor
-        sweep).  Raises :class:`NoCapacityError` for a fresh submission
-        with nowhere to go and :class:`RouterBusyError` when the chosen
-        worker answered 429.
+        With no eligible worker left the job stays ``queued`` for the
+        monitor's orphan sweep.  Raises :class:`AdmissionError` when the
+        chosen worker answered 429 and :class:`ServiceError` when it
+        refused the job; both resolve the job ``failed``.
         """
         tried: Set[str] = set(exclude)
         while True:
@@ -758,46 +736,8 @@ class ClusterRouter:
                 ]
                 chosen = self.policy.choose(job.spec_hash, eligible)
                 if chosen is None:
-                    if job.placed_journaled:
-                        # Already owed to the client: park it for the
-                        # monitor's orphan sweep to retry.
-                        job.worker_job_id = None
-                        return False
-                    raise NoCapacityError(
-                        "no alive worker "
-                        + (
-                            f"supporting engine {job.engine!r}"
-                            if job.engine
-                            else "registered"
-                        )
-                        + " to place the job on"
-                    )
+                    return
                 url = self.registry.get(chosen).url
-                if not job.placed_journaled:
-                    self._append(
-                        {
-                            "type": "placed",
-                            "job_id": job.job_id,
-                            "spec_hash": job.spec_hash,
-                            "spec": job.spec_payload,
-                            "worker": chosen,
-                            "submitted_at": job.submitted_at,
-                            "deadline_epoch": job.deadline_epoch,
-                        }
-                    )
-                    job.placed_journaled = True
-                else:
-                    self._append(
-                        {
-                            "type": "rerouted",
-                            "job_id": job.job_id,
-                            "worker": chosen,
-                        }
-                    )
-                    job.reroutes += 1
-                    self.counters.cluster_reroutes += 1
-                job.worker = chosen
-                job.worker_job_id = None
                 deadline_epoch = job.deadline_epoch
                 forward_payload = dict(job.spec_payload)
                 # The fencing stamp: workers refuse forwards whose epoch
@@ -814,7 +754,7 @@ class ClusterRouter:
                         self._resolve(
                             job, "failed", error="deadline expired in transit"
                         )
-                    return False
+                    return
             try:
                 response = self._client(url).submit(
                     forward_payload, deadline=remaining
@@ -835,7 +775,7 @@ class ClusterRouter:
                         self._resolve(
                             job, "failed", error=f"worker busy: {exc}"
                         )
-                    raise RouterBusyError(
+                    raise AdmissionError(
                         str(exc), retry_after=exc.retry_after or 1.0
                     ) from exc
                 with self._lock:
@@ -846,6 +786,14 @@ class ClusterRouter:
                     f"worker {chosen} rejected the job: {exc}"
                 ) from exc
             with self._lock:
+                if job.state in _TERMINAL:
+                    # Resolved meanwhile (cancelled, or done on its old
+                    # worker): like replay, ignore the late forward.
+                    return
+                if job.worker is not None and job.worker != chosen:
+                    job.reroutes += 1
+                    self.counters.cluster_reroutes += 1
+                job.worker = chosen
                 job.worker_job_id = str(response.get("job_id"))
                 remote_state = response.get("state")
                 job.state = (
@@ -869,7 +817,7 @@ class ClusterRouter:
                 # The worker answered from its own cache: absorb now so
                 # the client's very first poll sees a terminal state.
                 self.status(job.job_id)
-            return True
+            return
 
     def _absorb_remote(
         self, job: RouterJob, remote: Dict[str, object]
@@ -989,64 +937,37 @@ class ClusterRouter:
     def _reroute_job(self, job: RouterJob) -> None:
         """Re-place one job (its previous owner is gone)."""
         with self._lock:
-            if job.state in _TERMINAL or job.rerouting:
+            if job.state in _TERMINAL or job.forwarding:
                 return
-            job.rerouting = True
+            job.forwarding = True
             job.state = "queued"
             exclude = (
                 {job.worker}
-                if job.worker is not None
-                and self._worker_state(job.worker) == "dead"
+                if self._worker_state(job.worker) == "dead"
                 else set()
             )
         try:
             self._forward(job, exclude=exclude)
         except ServiceError:
-            pass  # parked as queued; the next sweep tries again
+            pass  # the worker refused: _forward resolved the job failed
         finally:
             with self._lock:
-                job.rerouting = False
-
-    def _fetch_result(self, job: RouterJob) -> Optional[Dict[str, object]]:
-        """Find a done job's payload across the cache tiers."""
-        with self._lock:
-            payload = self.cache.get(job.spec_hash)
-        if payload is not None:
-            return payload
-        with self._lock:
-            url = self._worker_url(job.worker)
-        if url is not None:
-            try:
-                payload = self._client(url).cache_lookup(job.spec_hash)
-            except ServiceClientError:
-                payload = None
-            if payload is not None:
-                with self._lock:
-                    try:
-                        self.cache.put(job.spec_hash, payload)
-                        self.counters.cluster_remote_hits += 1
-                    except ServiceError:
-                        payload = None
-                if payload is not None:
-                    return payload
-        return self._remote_lookup(job.spec_hash)
+                job.forwarding = False
 
 
 class RouterServer(HttpServerBase):
     """The asyncio HTTP front end over a :class:`ClusterRouter`.
 
-    Same wire dialect as :class:`~repro.service.server.PartitionServer`
-    (it shares the framing base class), with the membership endpoints
-    added:
+    The job endpoints are the worker's (``/jobs``, ``/jobs/<id>``,
+    ``/jobs/<id>/result``, ``/jobs/<id>/cancel``, served by
+    :class:`~repro.service.server.HttpServerBase` over the router), run
+    off the event loop because they block on worker HTTP calls — the
+    loop keeps accepting heartbeats while a forward is in flight.  On
+    top of them:
 
     =======  ==============================  ==========================
     method   path                            meaning
     =======  ==============================  ==========================
-    POST     ``/jobs``                       place a spec on a worker
-    GET      ``/jobs``                       list routed jobs
-    GET      ``/jobs/<id>``                  status (proxied when live)
-    GET      ``/jobs/<id>/result``           result (409 until done)
-    POST     ``/jobs/<id>/cancel``           cancel locally + remotely
     POST     ``/workers/join``               register a worker
     POST     ``/workers/<id>/heartbeat``     worker liveness + load
     GET      ``/workers``                    membership table
@@ -1055,10 +976,6 @@ class RouterServer(HttpServerBase):
     GET      ``/wal?since=<n>``              journal tail (standby feed)
     POST     ``/standby``                    standby self-announcement
     =======  ==============================  ==========================
-
-    Blocking router work (worker HTTP calls) runs on the default
-    executor so the event loop keeps accepting heartbeats while a
-    forward is in flight.
 
     With ``standby_of`` set the server starts as a **warm standby**: it
     binds and answers health/metrics, but 503s every job and membership
@@ -1069,6 +986,8 @@ class RouterServer(HttpServerBase):
     the monitor, and serves everything a primary does.  Workers find it
     through the standby URL their agents learned from the old primary.
     """
+
+    STOPPING = "router shutting down"
 
     def __init__(
         self,
@@ -1086,7 +1005,6 @@ class RouterServer(HttpServerBase):
                 router.registry.heartbeat_interval * router.registry.max_missed
             )
         self.epoch_timeout = float(epoch_timeout)
-        self.recovery_summary: Dict[str, int] = {}
         self.took_over = False
         self._active = standby_of is None
         self._monitor_task: Optional[asyncio.Task] = None
@@ -1096,11 +1014,6 @@ class RouterServer(HttpServerBase):
                 "a standby router needs --journal-dir: the tailed WAL is "
                 "what it takes over from"
             )
-
-    @property
-    def active(self) -> bool:
-        """Whether this server currently serves jobs (primary role)."""
-        return self._active
 
     async def start(self) -> None:
         """Recover the journal, bind, start the monitor loop.
@@ -1117,7 +1030,12 @@ class RouterServer(HttpServerBase):
         else:
             self._standby_task = asyncio.ensure_future(self._standby_loop())
 
-    async def stop(self) -> None:
+    async def stop(self, drain: bool = True) -> None:
+        """Stop the background loops and the listener; close the journal.
+
+        ``drain`` is accepted for the shared harness; the router has
+        nothing to drain — its jobs run on the workers.
+        """
         for task_name in ("_monitor_task", "_standby_task"):
             task = getattr(self, task_name)
             if task is not None:
@@ -1129,6 +1047,16 @@ class RouterServer(HttpServerBase):
                 setattr(self, task_name, None)
         await self._unbind()
         self.router.close()
+
+    def ready_lines(self) -> List[str]:
+        lines = self._recovery_lines("recovered placements from journal")
+        if self.standby_of is not None:
+            lines.append(f"standing by for {self.standby_of} on {self.url}")
+        lines.append(f"routing on {self.url}")
+        return lines
+
+    def stopped_line(self) -> str:
+        return self._tally("routed", self.router.state_counts())
 
     async def _monitor_loop(self) -> None:
         interval = min(1.0, self.router.registry.heartbeat_interval)
@@ -1236,10 +1164,10 @@ class RouterServer(HttpServerBase):
                         raise _HttpError(
                             400, f"bad since {value!r}: not an integer"
                         ) from exc
-            return await self._call(router.wal_records, since)
+            return 200, await self._call(router.wal_records, since)
         if path == "/standby":
             self._require(method, "POST")
-            return await self._call(
+            return 200, await self._call(
                 router.register_standby, self._json_body(body)
             )
         if not self._active:
@@ -1261,81 +1189,22 @@ class RouterServer(HttpServerBase):
         if path.startswith("/workers/") and path.endswith("/heartbeat"):
             self._require(method, "POST")
             worker_id = path[len("/workers/"): -len("/heartbeat")]
-            return await self._call(
+            return 200, await self._call(
                 router.heartbeat, worker_id, self._json_body(body)
             )
-        if path == "/jobs":
-            if method == "POST":
-                payload = self._json_body(body)
-                deadline = self._pop_deadline(payload)
-                return await self._call(router.submit, payload, deadline)
-            self._require(method, "GET")
-            return 200, {"jobs": router.jobs()}
-        if path.startswith("/jobs/"):
-            rest = path[len("/jobs/"):]
-            if rest.endswith("/result"):
-                self._require(method, "GET")
-                return await self._call(
-                    router.result, rest[: -len("/result")]
-                )
-            if rest.endswith("/cancel"):
-                self._require(method, "POST")
-                return await self._call(router.cancel, rest[: -len("/cancel")])
-            self._require(method, "GET")
-            return await self._call(router.status, rest)
-        raise _HttpError(404, f"no such endpoint {path!r}")
+        return await self._call(self._jobs_route, router, method, path, body)
 
-    async def _call(self, fn, *args) -> Tuple[int, Dict[str, object]]:
-        """Run a blocking router call off-loop, mapping its errors."""
+    async def _call(self, fn, *args):
+        """Run a blocking router call off the event loop."""
         loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(None, fn, *args)
-        except UnknownJobError as exc:
-            raise _HttpError(404, str(exc)) from exc
-        except NoCapacityError as exc:
-            raise _HttpError(503, str(exc)) from exc
-        except RouterBusyError as exc:
-            # ``:g`` keeps fractional hints intact on the wire — an
-            # ``int()`` here used to truncate a worker's 1.5s ask to 1s.
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={"Retry-After": f"{exc.retry_after:g}"},
-            ) from exc
-        except ResultNotReady as exc:
-            payload: Dict[str, object] = {
-                "error": str(exc),
-                "state": exc.state,
-            }
-            if exc.job_error is not None:
-                payload["job_error"] = exc.job_error
-            return 409, payload
-        if isinstance(result, dict):
-            return 200, result
-        return 200, {"result": result}
-
-    @staticmethod
-    def _pop_deadline(payload: Dict[str, object]) -> Optional[float]:
-        """Extract the optional top-level deadline (same rules as serve)."""
-        if "deadline" not in payload:
-            return None
-        raw = payload.pop("deadline")
-        try:
-            deadline = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(
-                400, f"bad deadline {raw!r}: not a number"
-            ) from exc
-        if deadline <= 0:
-            raise _HttpError(400, f"bad deadline {deadline!r}: must be positive")
-        return deadline
+        return await loop.run_in_executor(None, fn, *args)
 
 
-class RouterThread:
+class RouterThread(ServerThread):
     """A :class:`RouterServer` on a daemon thread, for sync callers.
 
-    Mirrors :class:`~repro.service.server.ServerThread`: the constructor
-    blocks until the socket is bound, :meth:`stop` shuts down and joins.
+    :class:`~repro.service.server.ServerThread`'s harness with the
+    router in place of a worker.
     """
 
     def __init__(
@@ -1346,126 +1215,18 @@ class RouterThread:
         standby_of: Optional[str] = None,
         epoch_timeout: Optional[float] = None,
     ) -> None:
-        self._started = threading.Event()
-        self._stop_requested: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-        self._router_kwargs = dict(router_kwargs or {})
-        self._host = host
-        self._requested_port = port
-        self._standby_of = standby_of
-        self._epoch_timeout = epoch_timeout
-        self.server: Optional[RouterServer] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-route", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_requested = asyncio.Event()
-        try:
-            router = ClusterRouter(**self._router_kwargs)
-            self.server = RouterServer(
-                router,
-                host=self._host,
-                port=self._requested_port,
-                standby_of=self._standby_of,
-                epoch_timeout=self._epoch_timeout,
+        kwargs = dict(router_kwargs or {})
+        self._start(
+            lambda: RouterServer(
+                ClusterRouter(**kwargs),
+                host=host,
+                port=port,
+                standby_of=standby_of,
+                epoch_timeout=epoch_timeout,
             )
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self._stop_requested.wait()
-        await self.server.stop()
-
-    @property
-    def port(self) -> int:
-        assert self.server is not None
-        return self.server.port
-
-    @property
-    def url(self) -> str:
-        assert self.server is not None
-        return self.server.url
+        )
 
     @property
     def router(self) -> ClusterRouter:
         assert self.server is not None
         return self.server.router
-
-    def stop(self, timeout: Optional[float] = None) -> None:
-        if self._loop is None or self._stop_requested is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._stop_requested.set)
-        except RuntimeError:  # loop already closed
-            pass
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def route(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    router_kwargs: Optional[Dict[str, object]] = None,
-    announce=print,
-    standby_of: Optional[str] = None,
-    epoch_timeout: Optional[float] = None,
-) -> int:
-    """Run a router until SIGINT/SIGTERM — the entry behind ``htp route``."""
-
-    async def _main() -> None:
-        router = ClusterRouter(**(router_kwargs or {}))
-        server = RouterServer(
-            router,
-            host=host,
-            port=port,
-            standby_of=standby_of,
-            epoch_timeout=epoch_timeout,
-        )
-        await server.start()
-        if server.recovery_summary.get("recovered"):
-            announce(
-                "recovered placements from journal: "
-                + " ".join(
-                    f"{name}={count}"
-                    for name, count in server.recovery_summary.items()
-                    if count
-                )
-            )
-        if standby_of is not None:
-            announce(f"standing by for {standby_of} on {server.url}")
-        announce(f"routing on {server.url}")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await stop.wait()
-        announce("router shutting down")
-        await server.stop()
-        counts = router.state_counts()
-        announce(
-            "routed: "
-            + " ".join(f"{state}={count}" for state, count in counts.items())
-        )
-
-    asyncio.run(_main())
-    return 0

@@ -47,7 +47,7 @@ from repro.core.flow_htp import FlowHTPConfig, FlowHTPResult, flow_htp
 from repro.core.perf import PerfCounters
 from repro.core.spreading_metric import ENGINES, SpreadingMetricConfig
 from repro.errors import PartitionError, ServiceError, SolverAborted
-from repro.service.journal import Journal
+from repro.service.journal import Journal, state_record, submitted_record
 from repro.htp.hierarchy import HierarchySpec
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioning.multilevel_flow import (
@@ -339,7 +339,7 @@ class JobContext:
 
 
 class AdmissionError(ServiceError):
-    """A submission refused by admission control (bounded queue depth).
+    """A submission refused by admission control (a full queue).
 
     Carries the ``retry_after`` hint (seconds) the HTTP layer turns into
     a 429 response with a ``Retry-After`` header.
@@ -348,6 +348,22 @@ class AdmissionError(ServiceError):
     def __init__(self, message: str, retry_after: float) -> None:
         super().__init__(message)
         self.retry_after = float(retry_after)
+
+
+class UnknownJobError(ServiceError):
+    """No job under that id (HTTP 404)."""
+
+
+class ResultNotReady(ServiceError):
+    """Result requested before the job is done (HTTP 409 with the job's
+    ``state`` and, if it failed, ``job_error``)."""
+
+    def __init__(
+        self, message: str, state: str, job_error: Optional[str] = None
+    ) -> None:
+        super().__init__(message)
+        self.state = state
+        self.job_error = job_error
 
 
 def run_spec(
@@ -670,16 +686,15 @@ class JobManager:
             job.deadline_epoch = time.time() + float(deadline)
         self._jobs[job_id] = job
         self._order.append(job_id)
-        record = {
-            "type": "submitted",
-            "job_id": job_id,
-            "spec_hash": spec_hash,
-            "spec": spec.to_payload(),
-            "submitted_at": job.submitted_at,
-        }
-        if job.deadline_epoch is not None:
-            record["deadline_epoch"] = job.deadline_epoch
-        self._journal_append(record)
+        self._journal_append(
+            submitted_record(
+                job_id,
+                spec_hash,
+                spec.to_payload(),
+                job.submitted_at,
+                job.deadline_epoch,
+            )
+        )
         cached = self.cache.get(spec_hash) if self.cache is not None else None
         if cached is not None:
             job.cached = True
@@ -692,15 +707,30 @@ class JobManager:
         return job
 
     def get(self, job_id: str) -> Job:
-        """The job record, or :class:`ServiceError` if unknown."""
+        """The job record, or :class:`UnknownJobError`."""
         try:
             return self._jobs[job_id]
         except KeyError as exc:
-            raise ServiceError(f"unknown job id {job_id!r}") from exc
+            raise UnknownJobError(f"unknown job id {job_id!r}") from exc
 
     def jobs(self) -> List[Job]:
         """All jobs in submission order."""
         return [self._jobs[job_id] for job_id in self._order]
+
+    def status(self, job_id: str) -> Dict[str, object]:
+        """The job's status document."""
+        return self.get(job_id).status()
+
+    def result(self, job_id: str) -> Dict[str, object]:
+        """The result payload; :class:`ResultNotReady` until ``done``."""
+        job = self.get(job_id)
+        if job.state != JobState.DONE:
+            raise ResultNotReady(
+                f"job {job.job_id} is {job.state.value}, not done",
+                state=job.state.value,
+                job_error=job.error,
+            )
+        return dict(job.result_payload or {})
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job; no-op for jobs already in a terminal state.
@@ -886,19 +916,9 @@ class JobManager:
 
     def _journal_state(self, job: Job) -> None:
         """Append ``job``'s current state as a lifecycle record."""
-        if self.journal is None:
-            return
-        record: Dict[str, object] = {
-            "type": "state",
-            "job_id": job.job_id,
-            "state": job.state.value,
-            "ts": time.time(),
-        }
-        if job.error is not None:
-            record["error"] = job.error
-        if job.cached:
-            record["cached"] = True
-        self.journal.append(record)
+        self._journal_append(
+            state_record(job.job_id, job.state.value, job.error, job.cached)
+        )
 
     def _job_context(self, job: Job) -> JobContext:
         checkpoint_dir = None

@@ -1,4 +1,4 @@
-"""Write-ahead job journal: the service's crash-safe source of truth.
+"""Write-ahead job journal: the crash-safe source of truth of both tiers.
 
 Every job lifecycle event — submission (with the full spec payload),
 ``running``, ``done``, ``failed``, ``cancelled``, and recovery-time
@@ -8,6 +8,11 @@ its clients exactly what the dead one did: finished jobs are re-served
 from the content-addressed cache, queued jobs rejoin the queue in their
 original order, and running jobs resume from their newest valid solver
 checkpoint.
+
+The cluster router keeps the same journal plus two record types:
+``forwarded`` names the worker that acknowledged a job and its job id
+there (one naming another worker is a reroute), and ``epoch`` records a
+fencing epoch the router adopted.
 
 Record format (one per line)::
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 import binascii
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -50,7 +56,7 @@ FSYNC_POLICIES = ("always", "batch", "never")
 BATCH_FSYNC_EVERY = 32
 
 #: Record types a journal line may carry.
-RECORD_TYPES = ("submitted", "state", "requeued")
+RECORD_TYPES = ("submitted", "state", "requeued", "forwarded", "epoch")
 
 #: Job states a ``state`` record may carry (the wire values of
 #: :class:`repro.service.jobs.JobState`, minus ``queued`` which only
@@ -79,6 +85,43 @@ def encode_line(record: Dict[str, object]) -> str:
     """One journal line (newline included) for ``record``."""
     envelope = {"crc32": record_crc(record), "record": record}
     return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def submitted_record(
+    job_id: str,
+    spec_hash: str,
+    spec: Dict[str, object],
+    submitted_at: float,
+    deadline_epoch: Optional[float] = None,
+) -> Dict[str, object]:
+    """The ``submitted`` record: everything needed to redo the job."""
+    record: Dict[str, object] = {
+        "type": "submitted",
+        "job_id": job_id,
+        "spec_hash": spec_hash,
+        "spec": spec,
+        "submitted_at": submitted_at,
+    }
+    if deadline_epoch is not None:
+        record["deadline_epoch"] = deadline_epoch
+    return record
+
+
+def state_record(
+    job_id: str, state: str, error: Optional[str] = None, cached: bool = False
+) -> Dict[str, object]:
+    """A ``state`` record: the job moved to ``state``."""
+    record: Dict[str, object] = {
+        "type": "state",
+        "job_id": job_id,
+        "state": state,
+        "ts": time.time(),
+    }
+    if error is not None:
+        record["error"] = error
+    if cached:
+        record["cached"] = True
+    return record
 
 
 def decode_line(line: str) -> Optional[Dict[str, object]]:
@@ -112,6 +155,10 @@ class RecoveredJob:
     deadline_epoch: Optional[float] = None
     error: Optional[str] = None
     cached: bool = False
+    #: The worker that last acknowledged the job (router journals only).
+    worker: Optional[str] = None
+    worker_job_id: Optional[str] = None
+    reroutes: int = 0
 
 
 @dataclass
@@ -121,6 +168,8 @@ class RecoveredState:
     jobs: Dict[str, RecoveredJob] = field(default_factory=dict)
     replayed: int = 0
     skipped: int = 0
+    #: Highest fencing epoch journaled (0 when no epoch record exists).
+    epoch: int = 0
 
     def in_order(self) -> List[RecoveredJob]:
         """Jobs in first-submission order (dicts preserve insertion)."""
@@ -131,8 +180,9 @@ def replay(records: List[Dict[str, object]]) -> RecoveredState:
     """Fold a record list into a recovered job table (pure, total).
 
     Tolerant by construction: records with unknown types, unknown job
-    ids, missing fields or illegal state moves are counted on
-    ``skipped`` and otherwise ignored, so *any* prefix of a journal
+    ids, missing fields, illegal state moves, ``forwarded`` records for
+    terminal jobs and regressing epochs are counted on ``skipped`` and
+    otherwise ignored, so *any* prefix of a journal
     (including one ending in a torn record that :func:`decode_line`
     already dropped) replays to a valid state, and replaying a journal
     twice is the same as replaying it once.
@@ -141,6 +191,18 @@ def replay(records: List[Dict[str, object]]) -> RecoveredState:
     for record in records:
         state.replayed += 1
         rtype = record.get("type")
+        if rtype == "epoch":
+            # No job id; a malformed or regressing value is garbage.
+            epoch = record.get("epoch")
+            if (
+                isinstance(epoch, int)
+                and not isinstance(epoch, bool)
+                and epoch > state.epoch
+            ):
+                state.epoch = epoch
+            else:
+                state.skipped += 1
+            continue
         job_id = record.get("job_id")
         if not isinstance(job_id, str) or rtype not in RECORD_TYPES:
             state.skipped += 1
@@ -171,6 +233,21 @@ def replay(records: List[Dict[str, object]]) -> RecoveredState:
             job.state = "queued"
             job.error = None
             job.cached = False
+            continue
+        if rtype == "forwarded":
+            worker = record.get("worker")
+            worker_job_id = record.get("worker_job_id")
+            if (
+                not isinstance(worker, str)
+                or not isinstance(worker_job_id, str)
+                or not _REPLAY_TRANSITIONS[job.state]  # already terminal
+            ):
+                state.skipped += 1
+                continue
+            if job.worker is not None and job.worker != worker:
+                job.reroutes += 1
+            job.worker = worker
+            job.worker_job_id = worker_job_id
             continue
         new_state = record.get("state")
         if new_state not in _STATE_VALUES:

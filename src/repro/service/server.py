@@ -25,29 +25,32 @@ PUT      ``/ckpt/<hash>/<seq>``   checkpoint frame replica install
 
 Error responses are ``{"error": ...}`` with conventional status codes:
 400 malformed request/spec, 404 unknown job, 405 wrong method, 409
-result not ready, 429 queue full (with a ``Retry-After`` header), 503
-shutting down.  A submission may carry a top-level ``deadline`` (seconds
-of wall clock the client will wait); it caps the job timeout and is
-polled by the solver every round, but is *not* part of the spec's
-content address.
+result not ready (with the job's ``state`` and ``job_error``), 429
+queue full (with a ``Retry-After`` header), 503 shutting down.  A
+submission may carry a top-level ``deadline`` (seconds of wall clock
+the client will wait: a finite, positive number); it caps the job
+timeout and is polled by the solver every round, but is *not* part of
+the spec's content address.
 
-:class:`PartitionServer` is the asyncio server; :class:`ServerThread`
-runs one on a daemon thread for embedding in synchronous code (tests,
-benchmarks, the smoke script); :func:`serve` is the blocking entry point
-behind ``htp serve`` with signal-driven graceful shutdown.  The raw
-HTTP/1.0 plumbing lives in :class:`HttpServerBase` so the cluster
-router (:mod:`repro.service.cluster.router`) speaks the identical wire
-dialect without copying the framing code.
+:class:`HttpServerBase` holds what the worker and the cluster router
+(:mod:`repro.service.cluster.router`) share: the HTTP/1.0 framing and
+the ``/jobs`` grammar over a job backend (a :class:`JobManager` here, a
+``ClusterRouter`` there — both raise the same job errors, mapped to
+status codes once, in :func:`_error_response`).  :class:`PartitionServer`
+is the worker.  :class:`ServerThread` runs either server on a daemon
+thread for embedding in synchronous code (tests, benchmarks, the smoke
+script), and :func:`run_until_signalled` is the signal-driven loop
+behind ``htp serve`` and ``htp route``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
+import math
 import signal
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import (
     install_checkpoint_frame,
@@ -55,7 +58,13 @@ from repro.core.checkpoint import (
     newest_checkpoint_age,
 )
 from repro.errors import ServiceError
-from repro.service.jobs import AdmissionError, JobManager, JobSpec, JobState
+from repro.service.jobs import (
+    AdmissionError,
+    JobManager,
+    JobSpec,
+    ResultNotReady,
+    UnknownJobError,
+)
 
 _HEX = frozenset("0123456789abcdef")
 
@@ -93,20 +102,68 @@ class _HttpError(Exception):
         self.headers = headers or {}
 
 
+def _error_response(
+    exc: ServiceError,
+) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+    """Status, body and headers for a job error raised by either tier."""
+    payload: Dict[str, object] = {"error": str(exc)}
+    if isinstance(exc, UnknownJobError):
+        return 404, payload, {}
+    if isinstance(exc, ResultNotReady):
+        payload["state"] = exc.state
+        if exc.job_error is not None:
+            payload["job_error"] = exc.job_error
+        return 409, payload, {}
+    if isinstance(exc, AdmissionError):
+        # ``:g`` keeps a fractional hint (a 1.5 s ask) intact on the wire.
+        return 429, payload, {"Retry-After": f"{exc.retry_after:g}"}
+    return 400, payload, {}
+
+
+def _take_deadline(payload: Dict[str, object]) -> Optional[float]:
+    """Pop the optional top-level ``deadline`` (seconds) off a submission.
+
+    It rides beside the spec, never inside its content address, and must
+    be a finite, positive, non-boolean number, as ``JobSpec`` numbers are.
+    """
+    if "deadline" not in payload:
+        return None
+    raw = payload.pop("deadline")
+    deadline = math.nan
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            deadline = float(raw)
+        except OverflowError:  # an integer past float range
+            deadline = math.inf
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise _HttpError(
+            400,
+            f"bad deadline {raw!r}: must be a finite, positive number "
+            "of seconds",
+        )
+    return deadline
+
+
 class HttpServerBase:
     """Shared asyncio HTTP/1.0 plumbing of the service and the router.
 
-    Subclasses implement ``_route(method, path, body) -> (status,
-    payload)`` — synchronous or ``async`` (the connection handler awaits
-    coroutines transparently) — and may raise :class:`_HttpError` /
-    :class:`ServiceError` for conventional error responses.  Binding,
-    framing, error mapping and teardown live here once.
+    Subclasses implement ``async _route(method, path, body) -> (status,
+    payload)`` and may raise :class:`_HttpError` / :class:`ServiceError`
+    for conventional error responses.  Binding, framing, error mapping,
+    the ``/jobs`` grammar (:meth:`_jobs_route`) and teardown live here.
+
+    For :class:`ServerThread` and :func:`run_until_signalled` a subclass
+    also provides ``start()``, ``stop(drain)``, ``ready_lines()`` (the
+    lines announced once serving), ``STOPPING`` (announced when a
+    shutdown signal arrives) and ``stopped_line()``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.port = port  # replaced by the bound port after binding
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Journal-recovery counts, filled by :meth:`start`.
+        self.recovery_summary: Dict[str, int] = {}
 
     async def _bind(self) -> None:
         """Bind the listening socket and learn the ephemeral port."""
@@ -127,10 +184,24 @@ class HttpServerBase:
         """The base URL clients should use."""
         return f"http://{self.host}:{self.port}"
 
-    def _route(
+    async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
         raise NotImplementedError  # pragma: no cover - interface
+
+    @staticmethod
+    def _tally(label: str, counts: Dict[str, int]) -> str:
+        """``label: name=count ...``, the announce form of a count table."""
+        return label + ": " + " ".join(
+            f"{name}={count}" for name, count in counts.items()
+        )
+
+    def _recovery_lines(self, label: str) -> List[str]:
+        """The journal-recovery announce line, when anything was recovered."""
+        summary = {k: v for k, v in self.recovery_summary.items() if v}
+        if not summary.get("recovered"):
+            return []
+        return [self._tally(label, summary)]
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -142,15 +213,12 @@ class HttpServerBase:
             headers: Dict[str, str] = {}
             try:
                 method, path, body = await self._read_request(reader)
-                routed = self._route(method, path, body)
-                if inspect.isawaitable(routed):
-                    routed = await routed
-                status, payload = routed
+                status, payload = await self._route(method, path, body)
             except _HttpError as exc:
                 status, payload = exc.status, {"error": exc.message}
                 headers = exc.headers
             except ServiceError as exc:
-                status, payload = 400, {"error": str(exc)}
+                status, payload, headers = _error_response(exc)
             except Exception as exc:  # pragma: no cover - defensive
                 status, payload = 500, {"error": repr(exc)}
             await self._write_response(writer, status, payload, headers)
@@ -232,6 +300,54 @@ class HttpServerBase:
             raise _HttpError(400, "body must be a JSON object")
         return payload
 
+    # ------------------------------------------------------------------
+    # The job endpoints, over either tier's backend
+    # ------------------------------------------------------------------
+    def _jobs_route(
+        self, jobs, method: str, path: str, body: bytes
+    ) -> Tuple[int, Dict[str, object]]:
+        """Serve the ``/jobs`` endpoints from ``jobs``; 404 otherwise.
+
+        ``jobs`` is a :class:`JobManager` or a ``ClusterRouter``: both
+        offer ``submit(spec, deadline)``, ``status(id)``, ``result(id)``,
+        ``cancel(id)`` and ``jobs()`` and raise the errors
+        :func:`_error_response` maps.  The router blocks on its workers,
+        so it runs this off its event loop.
+        """
+        if path == "/jobs":
+            if method == "POST":
+                return 200, self._submit(jobs, body)
+            self._require(method, "GET")
+            return 200, {"jobs": [job.status() for job in jobs.jobs()]}
+        if not path.startswith("/jobs/"):
+            raise _HttpError(404, f"no such endpoint {path!r}")
+        rest = path[len("/jobs/"):]
+        if rest.endswith("/result"):
+            self._require(method, "GET")
+            return 200, jobs.result(rest[: -len("/result")])
+        if rest.endswith("/cancel"):
+            self._require(method, "POST")
+            return 200, jobs.cancel(rest[: -len("/cancel")]).status()
+        self._require(method, "GET")
+        return 200, jobs.status(rest)
+
+    def _submit(self, jobs, body: bytes) -> Dict[str, object]:
+        payload = self._json_body(body)
+        deadline = _take_deadline(payload)
+        spec = JobSpec.from_payload(payload)  # ServiceError -> 400
+        self._admit(spec, payload)
+        try:
+            return jobs.submit(spec, deadline).status()
+        except AdmissionError:
+            raise  # 429 with its Retry-After hint
+        except ServiceError as exc:
+            # Shutting down, no eligible worker, or the worker refused:
+            # the request was fine, the service cannot take it now.
+            raise _HttpError(503, str(exc)) from exc
+
+    def _admit(self, spec: JobSpec, payload: Dict[str, object]) -> None:
+        """Hook between parsing a submission and submitting it."""
+
 
 class PartitionServer(HttpServerBase):
     """The asyncio HTTP server wrapping a :class:`JobManager`.
@@ -241,8 +357,12 @@ class PartitionServer(HttpServerBase):
     keeps current — used to fence forwards from zombie routers) and
     ``replicator`` (the checkpoint replicator consulted before solving a
     forwarded job this worker has nothing local for).  Both stay None on
-    a plain single-box ``htp serve``.
+    a plain single-box ``htp serve``.  With ``join_kwargs`` set (see
+    :func:`make_worker_agent`) :meth:`start` builds and starts the
+    agent that keeps them current, and :meth:`stop` stops it first.
     """
+
+    STOPPING = "shutting down (draining in-flight jobs)"
 
     def __init__(
         self,
@@ -254,7 +374,8 @@ class PartitionServer(HttpServerBase):
         self.manager = manager
         self.cluster_view = None
         self.replicator = None
-        self.recovery_summary: Dict[str, int] = {}
+        self.join_kwargs: Optional[Dict[str, object]] = None
+        self.agent = None
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -267,16 +388,42 @@ class PartitionServer(HttpServerBase):
         await self.manager.start()
         self.recovery_summary = self.manager.recover()
         await self._bind()
+        if self.join_kwargs:
+            kwargs = dict(self.join_kwargs)
+            advertise_url = kwargs.pop("advertise_url", None) or self.url
+            self.agent = make_worker_agent(self.manager, advertise_url, kwargs)
+            self.cluster_view = self.agent.view
+            self.replicator = self.agent.replicator
+            self.agent.start()
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop listening, then shut the manager down (drain by default)."""
+        """Leave the cluster, stop listening, then shut the manager down
+        (draining by default)."""
+        if self.agent is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.agent.stop
+            )
+            self.agent = None
         await self._unbind()
         await self.manager.shutdown(drain=drain)
+
+    def ready_lines(self) -> List[str]:
+        lines = self._recovery_lines("recovered from journal")
+        lines.append(f"serving on {self.url}")
+        if self.agent is not None:
+            lines.append(
+                f"joining cluster at {self.agent.router_url} "
+                f"as {self.agent.worker_id}"
+            )
+        return lines
+
+    def stopped_line(self) -> str:
+        return self._tally("drained", self.manager.state_counts())
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(
+    async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
         path = path.split("?", 1)[0].rstrip("/") or "/"
@@ -315,23 +462,6 @@ class PartitionServer(HttpServerBase):
                 ),
                 "checkpoints": checkpoints,
             }
-        if path == "/jobs":
-            if method == "POST":
-                return self._submit(body)
-            self._require(method, "GET")
-            return 200, {
-                "jobs": [job.status() for job in self.manager.jobs()]
-            }
-        if path.startswith("/jobs/"):
-            rest = path[len("/jobs/"):]
-            if rest.endswith("/result"):
-                self._require(method, "GET")
-                return self._result(rest[: -len("/result")])
-            if rest.endswith("/cancel"):
-                self._require(method, "POST")
-                return self._cancel(rest[: -len("/cancel")])
-            self._require(method, "GET")
-            return 200, self._job(rest).status()
         if path.startswith("/cache/"):
             # The cluster read-through tier: the router answers a warm
             # submission from *any* worker's durable cache by asking the
@@ -345,7 +475,7 @@ class PartitionServer(HttpServerBase):
             return self._cache_lookup(spec_hash)
         if path.startswith("/ckpt/"):
             return self._ckpt_route(method, path[len("/ckpt/"):], body)
-        raise _HttpError(404, f"no such endpoint {path!r}")
+        return self._jobs_route(self.manager, method, path, body)
 
     def _cache_lookup(self, spec_hash: str) -> Tuple[int, Dict[str, object]]:
         cache = self.manager.cache
@@ -432,50 +562,24 @@ class PartitionServer(HttpServerBase):
             )
         return 200, envelope
 
-    def _job(self, job_id: str):
-        try:
-            return self.manager.get(job_id)
-        except ServiceError as exc:
-            raise _HttpError(404, str(exc)) from exc
-
-    def _submit(self, body: bytes) -> Tuple[int, Dict[str, object]]:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise _HttpError(400, f"body is not valid JSON: {exc}") from exc
-        deadline = None
-        if isinstance(payload, dict) and "deadline" in payload:
-            # The deadline rides beside the spec, never inside it: two
-            # submissions with different deadlines are the same problem
-            # and must share one content address.
-            raw_deadline = payload.pop("deadline")
-            try:
-                deadline = float(raw_deadline)
-            except (TypeError, ValueError) as exc:
-                raise _HttpError(
-                    400, f"bad deadline {raw_deadline!r}: not a number"
-                ) from exc
-            if deadline <= 0:
-                raise _HttpError(
-                    400, f"bad deadline {deadline!r}: must be positive"
-                )
-        router_epoch = None
-        if isinstance(payload, dict) and "router_epoch" in payload:
-            # The router's fencing stamp rides beside the spec like the
-            # deadline does — never inside the content address.  A stamp
-            # older than the newest epoch this worker has seen means the
-            # sender is a fenced zombie: refuse with 409 so the job
-            # fails at the zombie instead of running twice.
-            router_epoch = payload.pop("router_epoch")
-            view = self.cluster_view
-            if view is not None and not view.admit_epoch(router_epoch):
-                raise _HttpError(
-                    409,
-                    f"stale router epoch {router_epoch!r}; this worker "
-                    f"has seen epoch {view.epoch}",
-                )
-        spec = JobSpec.from_payload(payload)  # ServiceError -> 400
-        if self.replicator is not None and router_epoch is not None:
+    def _admit(self, spec: JobSpec, payload: Dict[str, object]) -> None:
+        """Fence forwards from zombie routers; fetch replicated frames."""
+        if "router_epoch" not in payload:
+            return
+        # The router's fencing stamp rides beside the spec like the
+        # deadline does — never inside the content address.  A stamp
+        # older than the newest epoch this worker has seen means the
+        # sender is a fenced zombie: refuse with 409 so the job fails
+        # at the zombie instead of running twice.
+        router_epoch = payload.pop("router_epoch")
+        view = self.cluster_view
+        if view is not None and not view.admit_epoch(router_epoch):
+            raise _HttpError(
+                409,
+                f"stale router epoch {router_epoch!r}; this worker "
+                f"has seen epoch {view.epoch}",
+            )
+        if self.replicator is not None:
             # Failover read path: a forwarded job this worker holds
             # nothing for may have replicated checkpoint frames on its
             # peers — pull them in before the solve so ``resume_from``
@@ -488,43 +592,17 @@ class PartitionServer(HttpServerBase):
                     self.replicator.fetch(spec_hash)
                 except Exception:  # pragma: no cover - defensive
                     pass  # replication is best-effort; solve from scratch
-        try:
-            job = self.manager.submit(spec, deadline=deadline)
-        except AdmissionError as exc:
-            # ``:g`` keeps fractional hints intact on the wire — an
-            # ``int()`` here used to truncate a 1.5s ask to 1s.
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={"Retry-After": f"{exc.retry_after:g}"},
-            ) from exc
-        except ServiceError as exc:
-            raise _HttpError(503, str(exc)) from exc
-        return 200, job.status()
-
-    def _result(self, job_id: str) -> Tuple[int, Dict[str, object]]:
-        job = self._job(job_id)
-        if job.state != JobState.DONE:
-            doc: Dict[str, object] = {
-                "error": f"job {job.job_id} is {job.state.value}, not done",
-                "state": job.state.value,
-            }
-            if job.error is not None:
-                doc["job_error"] = job.error
-            return 409, doc
-        return 200, dict(job.result_payload or {})
-
-    def _cancel(self, job_id: str) -> Tuple[int, Dict[str, object]]:
-        return 200, self.manager.cancel(self._job(job_id).job_id).status()
 
 
 class ServerThread:
-    """A :class:`PartitionServer` on a daemon thread, for sync callers.
+    """A server on a daemon thread, for sync callers.
 
     The constructor blocks until the socket is bound (so ``.port`` and
     ``.url`` are valid immediately); :meth:`stop` performs the graceful
     (or hard) shutdown and joins the thread.  Usable as a context
-    manager.
+    manager.  Runs a :class:`PartitionServer` over
+    ``JobManager(**manager_kwargs)``; subclasses (the cluster's
+    ``RouterThread``) pick another server through :meth:`_start`.
     """
 
     def __init__(
@@ -533,15 +611,20 @@ class ServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        kwargs = dict(manager_kwargs or {})
+        self._start(
+            lambda: PartitionServer(JobManager(**kwargs), host=host, port=port)
+        )
+
+    def _start(self, make_server: Callable[[], HttpServerBase]) -> None:
+        """Build the server on a fresh thread's loop, start it, and wait."""
+        self._make_server = make_server
         self._started = threading.Event()
         self._stop_requested: Optional[asyncio.Event] = None
         self._drain = True
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._startup_error: Optional[BaseException] = None
-        self._manager_kwargs = dict(manager_kwargs or {})
-        self._host = host
-        self._requested_port = port
-        self.server: Optional[PartitionServer] = None
+        self.server = None
         self._thread = threading.Thread(
             target=self._run, name="repro-serve", daemon=True
         )
@@ -557,10 +640,7 @@ class ServerThread:
         self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
         try:
-            manager = JobManager(**self._manager_kwargs)
-            self.server = PartitionServer(
-                manager, host=self._host, port=self._requested_port
-            )
+            self.server = self._make_server()
             await self.server.start()
         except BaseException as exc:
             self._startup_error = exc
@@ -618,8 +698,8 @@ def make_worker_agent(
     :class:`~repro.service.cluster.replication.CheckpointReplicator`
     that pushes fresh frames to ring-chosen peers on every heartbeat;
     wire the agent's ``view``/``replicator`` onto the
-    :class:`PartitionServer` (``serve`` does) to complete the worker's
-    fencing and failover-fetch paths.
+    :class:`PartitionServer` (its ``start`` does, given ``join_kwargs``)
+    to complete the worker's fencing and failover-fetch paths.
     """
     from repro.service.cluster.agent import WorkerAgent
     from repro.service.cluster.replication import CheckpointReplicator
@@ -645,48 +725,24 @@ def make_worker_agent(
     return agent
 
 
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    manager_kwargs: Optional[Dict[str, object]] = None,
-    announce=print,
-    join_kwargs: Optional[Dict[str, object]] = None,
+def run_until_signalled(
+    make_server: Callable[[], HttpServerBase], announce=print
 ) -> int:
-    """Run a server until SIGINT/SIGTERM, then drain and exit (0).
+    """Run a server until SIGINT/SIGTERM, then stop it and exit (0).
 
-    The blocking entry point behind ``htp serve``.  ``announce`` gets a
-    one-line ``serving on http://...`` message once the socket is bound
-    (the smoke script parses it to learn an ephemeral port).  With
-    ``join_kwargs`` (``htp serve --join``) the worker also registers
-    with a cluster router and heartbeats until shutdown.
+    The blocking loop behind ``htp serve`` and ``htp route``:
+    ``make_server`` builds the server inside the event loop, and
+    ``announce`` gets its :meth:`ready_lines` once the socket is bound
+    (the smoke scripts parse ``serving on http://...`` and ``routing on
+    http://...`` to learn an ephemeral port), then its
+    :attr:`STOPPING` and :meth:`stopped_line` around the shutdown.
     """
 
     async def _main() -> None:
-        manager = JobManager(**(manager_kwargs or {}))
-        server = PartitionServer(manager, host=host, port=port)
+        server = make_server()
         await server.start()
-        if server.recovery_summary.get("recovered"):
-            announce(
-                "recovered from journal: "
-                + " ".join(
-                    f"{name}={count}"
-                    for name, count in server.recovery_summary.items()
-                    if count
-                )
-            )
-        announce(f"serving on {server.url}")
-        agent = None
-        if join_kwargs:
-            kwargs = dict(join_kwargs)
-            advertise_url = kwargs.pop("advertise_url", None) or server.url
-            agent = make_worker_agent(manager, advertise_url, kwargs)
-            server.cluster_view = agent.view
-            server.replicator = agent.replicator
-            agent.start()
-            announce(
-                f"joining cluster at {kwargs['router_url']} "
-                f"as {agent.worker_id}"
-            )
+        for line in server.ready_lines():
+            announce(line)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -695,15 +751,9 @@ def serve(
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-main thread / platform without signal support
         await stop.wait()
-        announce("shutting down (draining in-flight jobs)")
-        if agent is not None:
-            await loop.run_in_executor(None, agent.stop)
-        await server.stop(drain=True)
-        counts = manager.state_counts()
-        announce(
-            "drained: "
-            + " ".join(f"{state}={count}" for state, count in counts.items())
-        )
+        announce(server.STOPPING)
+        await server.stop()
+        announce(server.stopped_line())
 
     asyncio.run(_main())
     return 0

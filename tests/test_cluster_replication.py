@@ -25,10 +25,9 @@ from repro.service.cluster import (
     PeerInfo,
     RouterThread,
     WorkerRegistry,
-    replay_cluster,
     replica_owners,
 )
-from repro.service.journal import encode_line
+from repro.service.journal import encode_line, replay
 
 
 # ----------------------------------------------------------------------
@@ -73,22 +72,21 @@ class TestReplicaOwners:
 # ----------------------------------------------------------------------
 # Fencing-epoch journal replay
 # ----------------------------------------------------------------------
-def _placed(job_id, worker="w0"):
+def _submitted(job_id):
     return {
-        "type": "placed",
+        "type": "submitted",
         "job_id": job_id,
         "spec_hash": "a" * 64,
         "spec": {"stub": True},
-        "worker": worker,
     }
 
 
 class TestEpochReplay:
     def test_epoch_tracks_maximum(self):
-        state = replay_cluster(
+        state = replay(
             [
                 {"type": "epoch", "epoch": 1},
-                _placed("j1"),
+                _submitted("j1"),
                 {"type": "epoch", "epoch": 3},
                 {"type": "epoch", "epoch": 2},  # regression: skipped
             ]
@@ -98,10 +96,10 @@ class TestEpochReplay:
         assert "j1" in state.jobs
 
     def test_no_epoch_record_means_zero(self):
-        assert replay_cluster([_placed("j1")]).epoch == 0
+        assert replay([_submitted("j1")]).epoch == 0
 
     def test_malformed_epochs_are_skipped(self):
-        state = replay_cluster(
+        state = replay(
             [
                 {"type": "epoch"},
                 {"type": "epoch", "epoch": "two"},
@@ -427,9 +425,11 @@ class TestWarmStandby:
         wal_dir = tmp_path / "wal-standby"
         wal_dir.mkdir(parents=True)
         good = encode_line({"type": "epoch", "epoch": 3}) + encode_line(
-            _placed("j-torn-1")
+            _submitted("j-torn-1")
         )
-        torn = encode_line({"type": "resolved", "job_id": "j-torn-1"})
+        torn = encode_line(
+            {"type": "state", "job_id": "j-torn-1", "state": "done"}
+        )
         (wal_dir / "journal.jsonl").write_text(
             good + torn[: len(torn) // 2], encoding="utf-8"
         )

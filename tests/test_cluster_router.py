@@ -23,7 +23,13 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
-from repro.service.cluster import ROUTER_CACHE, RouterThread, WorkerAgent
+from repro.service.cluster import (
+    ROUTER_CACHE,
+    ClusterRouter,
+    RouterThread,
+    WorkerAgent,
+)
+from repro.service.journal import Journal, submitted_record
 from repro.service.server import make_worker_agent
 
 
@@ -66,8 +72,8 @@ def _spawn_worker(tmp_path, router_url, worker_id, **manager_kwargs):
         worker.url,
         {"router_url": router_url, "worker_id": worker_id},
     )
-    # The same wiring serve() does: fencing + replica fetch on the
-    # worker's HTTP surface.
+    # The same wiring ``htp serve --join`` does: fencing + replica fetch
+    # on the worker's HTTP surface.
     worker.server.cluster_view = agent.view
     worker.server.replicator = agent.replicator
     agent.start()
@@ -178,6 +184,9 @@ class TestRoutedSubmission:
             with pytest.raises(ServiceClientError) as exc_info:
                 client.submit_spec(_spec(netlist, hierarchy))
             assert exc_info.value.status == 503
+            # A refused submission leaves no job behind for a later
+            # orphan sweep to place.
+            assert client.jobs()["jobs"] == []
         finally:
             thread.stop()
 
@@ -321,6 +330,47 @@ class TestRouterRecovery:
             for agent in fresh_agents:
                 agent.stop()
             reborn.stop()
+
+
+    def test_job_journaled_but_never_forwarded_is_placed(
+        self, tmp_path, netlist, hierarchy
+    ):
+        """A router that died between journaling a job and forwarding
+        it leaves a job no worker ever saw.  Its worker rejoins well
+        inside the orphan grace, so only the orphan sweep can place it:
+        the job must still finish."""
+        spec = _spec(netlist, hierarchy, seed=23)
+        spec_hash = spec.canonical_hash()
+        job_id = f"{spec_hash[:12]}-r0001"
+        wal = Journal(tmp_path / "router-wal")
+        wal.append({"type": "epoch", "epoch": 1})
+        wal.append(
+            submitted_record(job_id, spec_hash, spec.to_payload(), time.time())
+        )
+        wal.close()
+        now = [100.0]
+        router = ClusterRouter(
+            journal_dir=tmp_path / "router-wal",
+            heartbeat_interval=1.0,
+            clock=lambda: now[0],
+        )
+        worker = ServerThread(manager_kwargs={})
+        try:
+            assert router.recover()["open"] == 1
+            router.join({"worker_id": "w0", "url": worker.url})
+            for _ in range(20):
+                now[0] += 10.0  # far past the 3 s grace
+                router.monitor_tick()
+            deadline = time.monotonic() + 60
+            while router.status(job_id)["state"] != "done":
+                assert time.monotonic() < deadline, router.status(job_id)
+                time.sleep(0.05)
+            assert router.status(job_id)["worker"] == "w0"
+            assert len(worker.manager.jobs()) == 1
+            assert router.result(job_id)["spec_hash"] == spec_hash
+        finally:
+            worker.stop()
+            router.close()
 
 
 class TestRecoveredPerfMerge:

@@ -1,10 +1,12 @@
 """Unit tests for the cluster building blocks.
 
 Ring (consistent hashing), placement policies, the worker registry's
-death ladder, and the router journal replay — each exercised in
-isolation, no sockets.  The replay tests pin the same two properties the
-service journal's tests established: any record prefix replays to a
-valid state, and replaying twice equals replaying once.
+death ladder, the replay of a router's journal records, and the
+router's forward against a scripted worker client — each exercised in
+isolation, no sockets.  The replay tests pin the same two properties
+the service journal's tests established for the worker's records: any
+record prefix replays to a valid state, and replaying twice equals
+replaying once.
 """
 
 import hashlib
@@ -12,15 +14,19 @@ import hashlib
 import pytest
 
 from repro.errors import ServiceError
+from repro.htp.hierarchy import binary_hierarchy
+from repro.hypergraph.generators import planted_hierarchy_hypergraph
 from repro.service.cluster import (
     CapacityPolicy,
+    ClusterRouter,
     ConsistentHashPolicy,
     HashRing,
     WorkerInfo,
     WorkerRegistry,
     make_policy,
-    replay_cluster,
 )
+from repro.service.jobs import JobSpec
+from repro.service.journal import Journal, replay
 
 
 def _hash(text: str) -> str:
@@ -238,58 +244,61 @@ def _records():
     spec = {"netlist": {}, "hierarchy": {}, "config": {}}
     return [
         {
-            "type": "placed",
+            "type": "submitted",
             "job_id": "j1",
             "spec_hash": "h1",
             "spec": spec,
-            "worker": "w1",
             "submitted_at": 1.0,
         },
         {"type": "forwarded", "job_id": "j1", "worker": "w1",
          "worker_job_id": "h1-0001"},
-        {"type": "rerouted", "job_id": "j1", "worker": "w2"},
         {"type": "forwarded", "job_id": "j1", "worker": "w2",
          "worker_job_id": "h1-0007"},
-        {"type": "resolved", "job_id": "j1", "state": "done"},
-        {
-            "type": "placed",
-            "job_id": "j2",
-            "spec_hash": "h2",
-            "spec": spec,
-            "worker": "w1",
-        },
-        {"type": "forwarded", "job_id": "j2", "worker_job_id": "h2-0002"},
+        {"type": "state", "job_id": "j1", "state": "done"},
+        {"type": "submitted", "job_id": "j2", "spec_hash": "h2",
+         "spec": spec},
+        {"type": "forwarded", "job_id": "j2", "worker": "w1",
+         "worker_job_id": "h2-0002"},
+    ]
+
+
+def _open(state):
+    return [
+        job.job_id for job in state.in_order()
+        if job.state not in ("done", "failed", "cancelled")
     ]
 
 
 class TestClusterReplay:
     def test_full_replay(self):
-        state = replay_cluster(_records())
+        state = replay(_records())
         assert state.skipped == 0
         j1 = state.jobs["j1"]
         assert j1.state == "done"
         assert j1.worker == "w2"
         assert j1.worker_job_id == "h1-0007"
-        assert j1.reroutes == 1
+        assert j1.reroutes == 1  # a forward to another worker
         j2 = state.jobs["j2"]
-        assert j2.state == "placed"
+        assert j2.state == "queued"
         assert j2.worker == "w1"
         assert j2.worker_job_id == "h2-0002"
-        assert [job.job_id for job in state.open_jobs()] == ["j2"]
+        assert j2.reroutes == 0
+        assert _open(state) == ["j2"]
 
     def test_every_prefix_is_valid(self):
         """Property: replay never raises on any crash prefix, and each
         prefix yields a structurally sound table."""
         records = _records()
         for cut in range(len(records) + 1):
-            state = replay_cluster(records[:cut])
+            state = replay(records[:cut])
             for job in state.jobs.values():
-                assert job.state in ("placed", "done", "failed", "cancelled")
+                assert job.state in ("queued", "done", "failed", "cancelled")
                 assert isinstance(job.reroutes, int)
+                assert (job.worker is None) == (job.worker_job_id is None)
 
     def test_replay_is_idempotent(self):
-        once = replay_cluster(_records())
-        twice = replay_cluster(_records() + _records())
+        once = replay(_records())
+        twice = replay(_records() + _records())
         # The duplicated prefix only adds skips, never new state.
         assert {j.job_id: j.state for j in once.in_order()} == {
             j.job_id: j.state for j in twice.in_order()
@@ -299,25 +308,79 @@ class TestClusterReplay:
     def test_garbage_records_are_counted_not_raised(self):
         garbage = [
             {},
-            {"type": "placed"},  # no job id
-            {"type": "resolved", "job_id": "ghost", "state": "done"},
+            {"type": "submitted"},  # no job id
+            {"type": "state", "job_id": "ghost", "state": "done"},
             {"type": "nonsense", "job_id": "j1"},
-            {"type": "placed", "job_id": "j3", "spec_hash": "h3",
-             "spec": "not-a-dict", "worker": "w1"},
-            {"type": "resolved", "job_id": "j1", "state": "exploded"},
+            {"type": "submitted", "job_id": "j3", "spec_hash": "h3",
+             "spec": "not-a-dict"},
+            {"type": "state", "job_id": "j1", "state": "exploded"},
+            {"type": "forwarded", "job_id": "ghost", "worker": "w1",
+             "worker_job_id": "g-1"},
+            {"type": "forwarded", "job_id": "j2", "worker": "w1"},
+            {"type": "forwarded", "job_id": "j2", "worker_job_id": "x-1"},
         ]
-        state = replay_cluster(_records() + garbage)
+        state = replay(_records() + garbage)
         assert state.skipped == len(garbage)
         assert state.jobs["j1"].state == "done"
+        assert state.jobs["j2"].worker_job_id == "h2-0002"
 
     def test_resolved_is_terminal_once(self):
         records = _records() + [
-            {"type": "resolved", "job_id": "j1", "state": "failed",
+            {"type": "state", "job_id": "j1", "state": "failed",
              "error": "late duplicate"},
-            {"type": "rerouted", "job_id": "j1", "worker": "w9"},
+            {"type": "forwarded", "job_id": "j1", "worker": "w9",
+             "worker_job_id": "h1-0009"},
         ]
-        state = replay_cluster(records)
+        state = replay(records)
         assert state.jobs["j1"].state == "done"
         assert state.jobs["j1"].error is None
         assert state.jobs["j1"].worker == "w2"
+        assert state.jobs["j1"].reroutes == 1
         assert state.skipped == 2
+
+    def test_old_router_wal_replays_as_skipped_records(self):
+        """A router WAL in the vocabulary the router used before it
+        shared the worker's journal: every record is skipped and
+        counted, nothing is recovered."""
+        old = [
+            {"type": "placed", "job_id": "j1", "spec_hash": "h1",
+             "spec": {}, "worker": "w1", "submitted_at": 1.0},
+            {"type": "forwarded", "job_id": "j1", "worker": "w1",
+             "worker_job_id": "h1-0001"},
+            {"type": "rerouted", "job_id": "j1", "worker": "w2"},
+            {"type": "forwarded", "job_id": "j1", "worker": "w2",
+             "worker_job_id": "h1-0007"},
+            {"type": "resolved", "job_id": "j1", "state": "done"},
+        ]
+        state = replay(old)
+        assert state.jobs == {}
+        assert state.replayed == len(old)
+        assert state.skipped == len(old)
+
+
+class TestForwardAck:
+    def test_ack_for_a_job_resolved_meanwhile_is_ignored(self, tmp_path):
+        """A forward acknowledged after the job was cancelled must not
+        revive it: the live job stays as its journal replays."""
+        router = ClusterRouter(journal_dir=tmp_path / "wal")
+        router.join({"worker_id": "w0", "url": "http://w0.test"})
+
+        class CancelThenAck:
+            def submit(self, payload, deadline=None):
+                (job,) = router.jobs()
+                router.cancel(job.job_id)  # lands mid-forward
+                return {"job_id": "w0-0001", "state": "queued"}
+
+        router._clients["http://w0.test"] = CancelThenAck()
+        netlist = planted_hierarchy_hypergraph(16, height=2, seed=1)
+        spec = JobSpec.from_parts(
+            netlist, binary_hierarchy(netlist.total_size(), height=2)
+        )
+        job = router.submit(spec)
+        assert (job.state, job.worker, job.worker_job_id) == (
+            "cancelled", None, None
+        )
+        records = Journal(tmp_path / "wal").scan()
+        assert [r["type"] for r in records] == ["submitted", "state"]
+        assert replay(records).jobs[job.job_id].state == "cancelled"
+        router.close()

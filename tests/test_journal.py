@@ -173,8 +173,14 @@ class TestReplay:
         assert state.skipped == 3
 
 
+def _forwarded(job_id, worker):
+    return {"type": "forwarded", "job_id": job_id, "worker": worker,
+            "worker_job_id": f"{job_id}@{worker}"}
+
+
 # A generator of arbitrary (often nonsensical) record streams over a
 # small id space — replay must digest ANY of them without raising.
+# ``forwarded`` and ``epoch`` are the router's records.
 _ids = st.sampled_from(["a-1", "b-2", "c-3"])
 _records = st.one_of(
     _ids.map(_submitted),
@@ -182,6 +188,12 @@ _records = st.one_of(
         _ids, st.sampled_from(["running", "done", "failed", "cancelled"])
     ).map(lambda pair: _state(*pair)),
     _ids.map(lambda job_id: {"type": "requeued", "job_id": job_id}),
+    st.tuples(_ids, st.sampled_from(["w1", "w2"])).map(
+        lambda pair: _forwarded(*pair)
+    ),
+    st.one_of(st.integers(-1, 4), st.just("two"), st.booleans()).map(
+        lambda epoch: {"type": "epoch", "epoch": epoch}
+    ),
     st.just({"type": "state"}),  # malformed: no job_id
 )
 
@@ -199,6 +211,9 @@ class TestReplayProperties:
                 "queued", "running", "done", "failed", "cancelled"
             )
             assert isinstance(job.spec_payload, dict)
+            assert job.reroutes >= 0
+            assert (job.worker is None) == (job.worker_job_id is None)
+        assert state.epoch >= 0
         assert state.replayed == cut
 
     @settings(
@@ -211,6 +226,7 @@ class TestReplayProperties:
         assert {k: vars(v) for k, v in once.jobs.items()} == {
             k: vars(v) for k, v in twice.jobs.items()
         }
+        assert once.epoch == twice.epoch
 
     @settings(
         max_examples=100, suppress_health_check=[HealthCheck.too_slow]
@@ -231,6 +247,7 @@ class TestReplayProperties:
         assert {k: vars(v) for k, v in replay(scanned).jobs.items()} == {
             k: vars(v) for k, v in replay(records).jobs.items()
         }
+        assert replay(scanned).epoch == replay(records).epoch
 
 
 # ----------------------------------------------------------------------
