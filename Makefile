@@ -1,6 +1,6 @@
 # Convenience targets; see scripts/verify.sh for the canonical check.
 
-.PHONY: verify test chaos coverage bench-micro bench-service bench-multilevel bench-optimality bench-cluster bench-e2e-selftest docs-check serve-smoke cluster-smoke cluster-partition-smoke
+.PHONY: verify test chaos coverage bench-micro bench-multilevel bench-optimality bench-cluster bench-e2e-selftest docs-check serve-smoke cluster-smoke cluster-partition-smoke
 
 verify:
 	sh scripts/verify.sh
@@ -50,11 +50,6 @@ bench-e2e-selftest:
 bench-micro:
 	PYTHONPATH=src python -m pytest benchmarks/bench_spreading_batch.py \
 		-q --bench-json BENCH_micro.json
-
-# Refresh the service cold-vs-warm latency record (BENCH_service.json).
-bench-service:
-	PYTHONPATH=src python -m pytest benchmarks/bench_service_cache.py \
-		-q --bench-json BENCH_service.json
 
 # Refresh the optimality-gap record (BENCH_optimality.json): FLOW vs
 # the exact oracles (tree-metric DP / branch-and-bound / ILP) on the

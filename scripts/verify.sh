@@ -53,7 +53,8 @@ echo "== chaos suite =="
 python -m pytest -m chaos -q
 
 echo "== benchmark import guard =="
-python -m pytest benchmarks/bench_micro.py benchmarks/bench_spreading_batch.py --co -q
+# Collect every bench_*.py (the e2e harness runs for real just below).
+python -m pytest benchmarks --ignore=benchmarks/e2e --co -q
 
 echo "== end-to-end benchmark harness self-test =="
 python -m pytest benchmarks/e2e -q

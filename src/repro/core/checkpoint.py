@@ -13,13 +13,14 @@ continue bit-identically —
 * the injection / round counters and the batched loop's chunk size;
 * the visit-order RNG state (``random.Random.getstate()``);
 * the outcomes of every *completed* FLOW iteration (cost, partition,
-  metric) so the driver itself is resumable, not just one metric.
+  metric summary — no arrays) so the driver itself is resumable, not
+  just one metric.
 
 A run killed at any point and resumed via ``flow_htp(resume_from=...)``
 produces the same :class:`~repro.core.flow_htp.FlowHTPResult` (partition,
-cost, per-iteration diagnostics, metric arrays) as an uninterrupted run:
-checkpoints land only at round boundaries, and every decision after a
-round boundary is a pure function of the state captured there.
+cost, per-iteration diagnostics) as an uninterrupted run: checkpoints
+land only at round boundaries, and every decision after a round
+boundary is a pure function of the state captured there.
 
 Corruption is a counted event, never a crash: a torn or CRC-failing
 checkpoint file is skipped (``checkpoints_discarded``) and the newest
@@ -43,7 +44,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.perf import PerfCounters
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, PartitionError
 
 #: Checkpoint file name pattern: ``ckpt-<seq>.json``; the sequence number
 #: only orders files, the payload's own counters carry the semantics.
@@ -372,48 +373,33 @@ def run_fingerprint(hypergraph, spec, config) -> str:
 def encode_outcome(outcome) -> Dict[str, object]:
     """One completed FLOW iteration as a JSON payload.
 
-    ``outcome`` is the driver's ``(cost, partition, metric, counters)``
-    tuple; metric arrays go through :func:`encode_array` so the restored
-    iteration is bit-identical to the one that ran.
+    ``outcome`` is the driver's ``(cost, partition, metric_summary,
+    counters)`` tuple.
     """
     cost, partition, metric, counters = outcome
     return {
         "cost": float(cost),
         "partition": partition.to_dict(),
-        "metric": {
-            "lengths": encode_array(metric.lengths),
-            "flows": encode_array(metric.flows),
-            "objective": float(metric.objective),
-            "injections": int(metric.injections),
-            "rounds": int(metric.rounds),
-            "satisfied": bool(metric.satisfied),
-        },
+        "metric": metric.to_dict(),
         "counters": counters.as_dict(),
     }
 
 
 def decode_outcome(payload: Dict[str, object]):
     """Inverse of :func:`encode_outcome`."""
-    from repro.core.spreading_metric import SpreadingMetricResult
+    from repro.core.spreading_metric import MetricSummary
     from repro.htp.partition import PartitionTree
 
     try:
-        metric_doc = payload["metric"]
-        metric = SpreadingMetricResult(
-            lengths=decode_array(metric_doc["lengths"]),
-            flows=decode_array(metric_doc["flows"]),
-            objective=float(metric_doc["objective"]),
-            injections=int(metric_doc["injections"]),
-            rounds=int(metric_doc["rounds"]),
-            satisfied=bool(metric_doc["satisfied"]),
-        )
         return (
             float(payload["cost"]),
             PartitionTree.from_dict(payload["partition"]),
-            metric,
+            MetricSummary.from_dict(payload["metric"]),
             PerfCounters.from_dict(payload["counters"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, LookupError, PartitionError, TypeError, ValueError
+    ) as exc:
         raise CheckpointError(
             f"malformed iteration outcome payload: {exc!r}"
         ) from exc
@@ -476,7 +462,11 @@ class FlowCheckpointer:
         Also bumps the sequence counter past any file already on disk so
         resumed runs never overwrite live history.
         """
-        self._completed = [dict(doc) for doc in payload.get("completed", [])]
+        # Re-encoding drops the arrays of outcomes written by older code.
+        self._completed = [
+            encode_outcome(decode_outcome(doc))
+            for doc in payload.get("completed", [])
+        ]
         self._iteration = int(payload.get("iteration", len(self._completed)))
         newest = load_latest_checkpoint(self.directory)
         if newest is not None:

@@ -3,8 +3,13 @@
 Repeat ``iterations`` times: compute a spreading metric (Algorithm 2),
 construct one or more partitions from it (Algorithm 3), keep the best.
 ``constructions_per_metric > 1`` implements the extension suggested in the
-paper's conclusions — the metric computation dominates the runtime, so
-constructing several partitions per metric is nearly free.
+paper's conclusions, which expects extra constructions per metric to be
+nearly free because the metric dominates the runtime.  That holds at
+small ``delta``: with ``delta=0.03`` and ``max_rounds=1000`` the metric
+takes 70-79% of a solve (``benchmarks/results/scaling.txt``).  At the
+defaults it does not: a traced c2670 solve spends 71% in
+``construct_partition`` and 20% in the metric, so each extra
+construction adds real time.
 
 Every iteration is a pure function of a pair of pre-drawn seeds
 ``(metric_seed, construction_seeds)``, drawn from the master RNG in
@@ -20,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.checkpoint import (
     FlowCheckpointer,
     MetricCheckpoint,
@@ -32,8 +35,8 @@ from repro.core.checkpoint import (
 from repro.core.construct import construct_partition
 from repro.core.perf import PerfCounters
 from repro.core.spreading_metric import (
+    MetricSummary,
     SpreadingMetricConfig,
-    SpreadingMetricResult,
     compute_spreading_metric,
 )
 from repro.errors import CheckpointError, PartitionError, SolverAborted
@@ -55,7 +58,10 @@ class FlowHTPConfig:
         ``N`` of Algorithm 1 — metric/construction rounds.
     constructions_per_metric:
         Partitions constructed per metric (the conclusions' extension; 1
-        reproduces the paper's Algorithm 1 exactly).
+        reproduces the paper's Algorithm 1 exactly).  Nearly free only
+        at small ``delta``, where the metric takes 70-79% of a solve;
+        at the defaults construction takes 71% of a c2670 solve against
+        the metric's 20%, so each extra construction adds real time.
     find_cut_restarts:
         Random seeds tried inside each ``find_cut`` call.
     find_cut_strategy:
@@ -109,6 +115,7 @@ class FlowHTPResult:
     ``iteration_costs`` holds the best construction cost of each metric
     iteration; ``metric_objectives`` the LP objective ``sum c(e) d(e)`` of
     each metric (an *upper* proxy for solution quality, not a bound);
+    ``metric_results`` one :class:`MetricSummary` per metric;
     ``runtime_seconds`` the wall-clock cost of the whole run; ``perf``
     aggregates the solver's :class:`PerfCounters` (Dijkstra calls, dirty
     edges repriced, cut evaluations, per-phase wall time) across all
@@ -119,19 +126,16 @@ class FlowHTPResult:
     cost: float
     iteration_costs: List[float]
     metric_objectives: List[float]
-    metric_results: List[SpreadingMetricResult]
+    metric_results: List[MetricSummary]
     runtime_seconds: float
     perf: Optional[PerfCounters] = None
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready document; inverse of :meth:`from_dict`.
 
-        Carries the partition, every per-iteration diagnostic, the
-        solved spreading metrics (lengths and flows as plain lists, so a
-        cached result can hand the metric back without re-running
-        Algorithm 2) and the aggregated perf counters.  Per-metric
-        ``counters`` references are not serialized — the aggregate in
-        ``perf`` already folds them in.
+        Carries the partition, every per-iteration diagnostic, one
+        :class:`MetricSummary` entry per metric and the aggregated perf
+        counters — the document the service serves, caches and replicates.
         """
         return {
             "partition": self.partition.to_dict(),
@@ -139,15 +143,7 @@ class FlowHTPResult:
             "iteration_costs": list(self.iteration_costs),
             "metric_objectives": list(self.metric_objectives),
             "metric_results": [
-                {
-                    "lengths": [float(x) for x in metric.lengths],
-                    "flows": [float(x) for x in metric.flows],
-                    "objective": metric.objective,
-                    "injections": metric.injections,
-                    "rounds": metric.rounds,
-                    "satisfied": metric.satisfied,
-                }
-                for metric in self.metric_results
+                metric.to_dict() for metric in self.metric_results
             ],
             "runtime_seconds": self.runtime_seconds,
             "perf": self.perf.as_dict() if self.perf is not None else None,
@@ -159,14 +155,7 @@ class FlowHTPResult:
         try:
             partition = PartitionTree.from_dict(payload["partition"])
             metrics = [
-                SpreadingMetricResult(
-                    lengths=np.asarray(entry["lengths"], dtype=float),
-                    flows=np.asarray(entry["flows"], dtype=float),
-                    objective=float(entry["objective"]),
-                    injections=int(entry["injections"]),
-                    rounds=int(entry["rounds"]),
-                    satisfied=bool(entry["satisfied"]),
-                )
+                MetricSummary.from_dict(entry)
                 for entry in payload["metric_results"]
             ]
             perf_payload = payload.get("perf")
@@ -185,7 +174,7 @@ class FlowHTPResult:
                     else None
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise PartitionError(
                 f"malformed FlowHTPResult payload: {exc!r}"
             ) from exc
@@ -201,10 +190,10 @@ def _run_flow_iteration(
     on_round=None,
     metric_resume: Optional[MetricCheckpoint] = None,
     abort_check=None,
-) -> Tuple[float, PartitionTree, SpreadingMetricResult, PerfCounters]:
+) -> Tuple[float, PartitionTree, MetricSummary, PerfCounters]:
     """One FLOW iteration: a metric, then one partition per construction seed.
 
-    Returns ``(iteration_best_cost, best_partition, metric_result,
+    Returns ``(iteration_best_cost, best_partition, metric_summary,
     counters)``; the caller merges counters and picks the global best.
     """
     counters = PerfCounters()
@@ -257,7 +246,7 @@ def _run_flow_iteration(
     counters.add_phase("construct", time.perf_counter() - phase_start)
     if iteration_partition is None:  # pragma: no cover - config guard
         raise PartitionError("FLOW iteration produced no partition")
-    return iteration_best, iteration_partition, metric, counters
+    return iteration_best, iteration_partition, metric.summary(), counters
 
 
 def flow_htp(
@@ -319,7 +308,7 @@ def flow_htp(
 
     **Resume identity guarantee.**  A run killed at any point and
     resumed via ``resume_from`` returns the same partition, cost and
-    per-iteration diagnostics (metric arrays included) as an
+    per-iteration diagnostics (metric summaries included) as an
     uninterrupted run; only wall-clock and perf counters differ.
     """
     config = config or FlowHTPConfig()
@@ -334,7 +323,7 @@ def flow_htp(
     durable = checkpoint_dir is not None or resume_from is not None
     checkpointer: Optional[FlowCheckpointer] = None
     completed_outcomes: List[
-        Tuple[float, PartitionTree, SpreadingMetricResult, PerfCounters]
+        Tuple[float, PartitionTree, MetricSummary, PerfCounters]
     ] = []
     start_iteration = 0
     metric_resume: Optional[MetricCheckpoint] = None
@@ -420,7 +409,7 @@ def flow_htp(
     best_cost = float("inf")
     iteration_costs: List[float] = []
     metric_objectives: List[float] = []
-    metric_results: List[SpreadingMetricResult] = []
+    metric_results: List[MetricSummary] = []
     for outcome in outcomes:
         iteration_best, iteration_partition, metric, iteration_counters = outcome
         counters.merge(iteration_counters)

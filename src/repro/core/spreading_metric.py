@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -148,6 +148,46 @@ class SpreadingMetricResult:
     rounds: int
     satisfied: bool
     counters: Optional[PerfCounters] = None
+
+    def summary(self) -> "MetricSummary":
+        """The scalars a FLOW result keeps once the arrays are spent."""
+        return MetricSummary(
+            objective=self.objective,
+            injections=self.injections,
+            rounds=self.rounds,
+            satisfied=self.satisfied,
+        )
+
+
+@dataclass
+class MetricSummary:
+    """The scalars of one Algorithm 2 run that a FLOW result keeps.
+
+    Only Algorithm 3 reads a metric's arrays, so a finished iteration
+    keeps this record instead; the fields mean what they mean on
+    :class:`SpreadingMetricResult`.
+    """
+
+    objective: float
+    injections: int
+    rounds: int
+    satisfied: bool
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON form; inverse of :meth:`from_dict`."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: Dict[str, object]) -> "MetricSummary":
+        """Read the four scalar keys, so documents that still carry
+        ``lengths`` and ``flows`` load too.  Malformed input raises
+        ``KeyError``, ``TypeError`` or ``ValueError``."""
+        return cls(
+            objective=float(doc["objective"]),
+            injections=int(doc["injections"]),
+            rounds=int(doc["rounds"]),
+            satisfied=bool(doc["satisfied"]),
+        )
 
 
 def compute_spreading_metric(

@@ -46,7 +46,11 @@ from repro.algorithms.maxflow import FlowNetwork
 from repro.algorithms.mincut import stoer_wagner_min_cut
 from repro.core.flow_htp import FlowHTPConfig, FlowHTPResult, flow_htp
 from repro.core.perf import PerfCounters
-from repro.core.spreading_metric import ENGINES, SpreadingMetricConfig
+from repro.core.spreading_metric import (
+    ENGINES,
+    MetricSummary,
+    SpreadingMetricConfig,
+)
 from repro.errors import PartitionError, SolverAborted
 from repro.htp.cost import total_cost
 from repro.htp.hierarchy import HierarchySpec
@@ -280,7 +284,7 @@ def multilevel_flow_htp(
 
     iteration_costs: List[float] = []
     metric_objectives: List[float] = []
-    metric_results: List[object] = []
+    metric_results: List[MetricSummary] = []
     if coarse_result is not None:
         iteration_costs = list(coarse_result.iteration_costs)
         metric_objectives = list(coarse_result.metric_objectives)

@@ -1,9 +1,9 @@
 """Content-addressed result cache: in-memory LRU over on-disk JSON blobs.
 
 Keys are :meth:`JobSpec.canonical_hash` digests, values are the JSON
-result payloads the job core produces (``{"spec_hash": ..., "result":
-FlowHTPResult.to_dict()}`` — including the solved spreading metric, so a
-warm request skips Algorithm 2 entirely).  The memory tier is a bounded
+result payloads the job core produces (``{"spec_hash": <key>, "result":
+FlowHTPResult.to_dict()}`` — the cached partition is the answer, so a
+warm request skips the whole solve).  The memory tier is a bounded
 LRU; the optional disk tier writes one ``<hash>.json`` blob per entry
 under ``cache_dir`` and survives restarts.  A disk read re-populates the
 memory tier (read-through), and a memory eviction never deletes the
@@ -11,9 +11,10 @@ blob — disk is the durable tier, memory the hot set.
 
 Blobs are written atomically (tmp + rename) inside a CRC-32 envelope
 ``{"crc32": ..., "payload": ...}``; a read that finds a truncated,
-unparseable, CRC-failing or wrong-hash blob **quarantines** it (renames
-to ``*.corrupt``) and reports a miss — corruption costs a re-solve,
-never an exception.  Envelope-less blobs from older writers still load.
+unparseable or CRC-failing blob, or one whose ``spec_hash`` is not its
+key, **quarantines** it (renames to ``*.corrupt``) and reports a miss —
+corruption costs a re-solve, never an exception.  Envelope-less blobs
+from older writers still load.
 
 Traffic lands on a shared :class:`~repro.core.perf.PerfCounters`
 (``cache_hits`` / ``cache_misses`` / ``cache_evictions`` /
@@ -114,10 +115,10 @@ class ResultCache:
         return None
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Store ``payload`` under ``key`` in both tiers."""
+        """Store ``payload`` (whose ``spec_hash`` is ``key``) in both tiers."""
         key = _check_key(key)
         stored_hash = payload.get("spec_hash")
-        if stored_hash is not None and stored_hash != key:
+        if stored_hash != key:
             raise ServiceError(
                 f"payload says spec_hash {stored_hash!r} but is being "
                 f"stored under {key!r} — content addressing violated"
@@ -191,7 +192,7 @@ class ResultCache:
         else:
             return self._quarantine(path, "blob is not a JSON object")
         stored_hash = payload.get("spec_hash")
-        if stored_hash is not None and stored_hash != key:
+        if stored_hash != key:
             return self._quarantine(
                 path, f"claims spec_hash {stored_hash!r} under key {key!r}"
             )

@@ -139,8 +139,8 @@ class ServiceClient:
     ) -> Dict[str, object]:
         """PUT /cache/<hash> — the router's write-through replication.
 
-        Idempotent by content address (the worker validates the payload
-        hashes to ``spec_hash`` before storing), so retries are safe.
+        Idempotent by content address, so retries are safe; the worker
+        answers 400 unless ``payload`` is labelled ``spec_hash`` and decodes.
         """
         return self._request(
             "PUT", f"/cache/{spec_hash}", body=payload, idempotent=True

@@ -5,9 +5,9 @@
 on a daemon thread.  The agent:
 
 1. **joins** — ``POST /workers/join`` announcing the worker's id, URL,
-   weight, supported engines, concurrency and the content addresses
-   already in its disk cache (so a restarted worker immediately
-   re-enters the cluster cache index warm);
+   weight, concurrency and the content addresses already in its disk
+   cache (so a restarted worker immediately re-enters the cluster cache
+   index warm);
 2. **heartbeats** — every ``interval`` seconds, ``POST
    /workers/<id>/heartbeat`` with the live queue depth and any content
    addresses cached since the last beat;
@@ -64,8 +64,6 @@ class WorkerAgent:
         Stable identity; defaults to a fresh ``worker-<hex>``.
     weight:
         Declared capacity weight for placement (see the ring docs).
-    engines:
-        Engines this worker accepts (empty: everything).
     max_concurrency:
         The worker's ``JobManager`` concurrency, announced for the
         router's capacity policy.
@@ -91,7 +89,6 @@ class WorkerAgent:
         worker_url: str,
         worker_id: Optional[str] = None,
         weight: float = 1.0,
-        engines: Iterable[str] = (),
         max_concurrency: int = 1,
         cached_keys: Optional[Callable[[], Iterable[str]]] = None,
         load: Optional[Callable[[], int]] = None,
@@ -104,7 +101,6 @@ class WorkerAgent:
         self.worker_url = worker_url
         self.router_url = router_url
         self.weight = float(weight)
-        self.engines = tuple(engines)
         self.max_concurrency = int(max_concurrency)
         self.interval = float(interval)
         self.tolerance = tolerance or FaultTolerance()
@@ -140,7 +136,6 @@ class WorkerAgent:
             "worker_id": self.worker_id,
             "url": self.worker_url,
             "weight": self.weight,
-            "engines": list(self.engines),
             "max_concurrency": self.max_concurrency,
             "cached_keys": sorted(keys),
         }

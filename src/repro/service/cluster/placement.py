@@ -1,8 +1,8 @@
 """Placement policies: which worker gets a job.
 
 The router asks a policy one question — ``choose(spec_hash, workers)``
-over the currently-eligible worker set (alive, engine-capable) — and the
-two shipped answers bracket the design space:
+over the currently-eligible (alive) worker set — and the two shipped
+answers bracket the design space:
 
 ``hash`` (:class:`ConsistentHashPolicy`)
     Pure content placement on the :class:`~repro.service.cluster.ring.
@@ -40,9 +40,9 @@ class PlacementPolicy:
     """Interface: pick one of ``workers`` for ``spec_hash``.
 
     ``workers`` is a sequence of :class:`~repro.service.cluster.registry.
-    WorkerInfo` records the router already filtered down to alive +
-    engine-capable; a policy never second-guesses eligibility, only
-    ranks.  Returns the chosen worker's id, or None for an empty set.
+    WorkerInfo` records the router already filtered down to alive ones;
+    a policy never second-guesses eligibility, only ranks.  Returns the
+    chosen worker's id, or None for an empty set.
     """
 
     name = "abstract"

@@ -1,9 +1,9 @@
 """Worker membership: registration, heartbeats, and the death ladder.
 
 A worker announces itself once (:meth:`WorkerRegistry.register`) with
-its URL, weight, supported engines and the content addresses already in
-its disk cache; afterwards it heartbeats every ``heartbeat_interval``
-seconds with its live load and any newly cached addresses.  The router
+its URL, weight and the content addresses already in its disk cache;
+afterwards it heartbeats every ``heartbeat_interval`` seconds with its
+live load and any newly cached addresses.  The router
 never polls healthy workers — the registry is updated entirely by these
 pushes, plus the :meth:`overdue` sweep the router's monitor task runs.
 
@@ -50,7 +50,6 @@ class WorkerInfo:
     worker_id: str
     url: str
     weight: float = 1.0
-    engines: tuple = ()
     max_concurrency: int = 1
     state: str = "alive"
     joined_at: float = field(default_factory=time.time)
@@ -62,17 +61,12 @@ class WorkerInfo:
     in_flight: int = 0
     cached_keys: Set[str] = field(default_factory=set)
 
-    def supports(self, engine: str) -> bool:
-        """Whether this worker declared support for ``engine``."""
-        return not self.engines or engine in self.engines
-
     def status(self) -> Dict[str, object]:
         """The JSON view served by the router's ``GET /workers``."""
         return {
             "worker_id": self.worker_id,
             "url": self.url,
             "weight": self.weight,
-            "engines": list(self.engines),
             "max_concurrency": self.max_concurrency,
             "state": self.state,
             "joined_at": self.joined_at,
@@ -173,8 +167,8 @@ class WorkerRegistry:
         """All workers, join order."""
         return list(self._workers.values())
 
-    def alive(self, engine: Optional[str] = None) -> List[WorkerInfo]:
-        """Workers eligible for placement (alive + supporting ``engine``).
+    def alive(self) -> List[WorkerInfo]:
+        """Workers eligible for placement.
 
         ``suspect`` workers are excluded from *new* placements — they
         keep their in-flight jobs but receive no more until they
@@ -184,7 +178,6 @@ class WorkerRegistry:
             worker
             for worker in self._workers.values()
             if worker.state == "alive"
-            and (engine is None or worker.supports(engine))
         ]
 
     def state_counts(self) -> Dict[str, int]:

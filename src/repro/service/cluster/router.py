@@ -19,8 +19,7 @@ A submission flows through three tiers:
    result (``cluster_remote_hits``).  The index is advisory: a stale
    entry costs one failed lookup, never a wrong answer.
 3. **Placement** — the configured policy (``hash`` or ``capacity``, see
-   :mod:`~repro.service.cluster.placement`) picks an alive,
-   engine-capable worker.
+   :mod:`~repro.service.cluster.placement`) picks an alive worker.
 
 The router keeps the worker's journal (:mod:`repro.service.journal`):
 ``submitted`` is written before any placement, ``forwarded`` names the
@@ -95,7 +94,7 @@ _TERMINAL = tuple(state.value for state in TERMINAL_STATES)
 
 
 class NoCapacityError(ServiceError):
-    """No alive, engine-capable worker to place on (HTTP 503)."""
+    """No alive worker to place on (HTTP 503)."""
 
 
 @dataclass
@@ -124,15 +123,6 @@ class RouterJob:
     deadline_epoch: Optional[float] = None
     reroutes: int = 0
     forwarding: bool = False
-
-    @property
-    def engine(self) -> Optional[str]:
-        config = self.spec_payload.get("config")
-        if isinstance(config, dict):
-            engine = config.get("engine")
-            if isinstance(engine, str):
-                return engine
-        return None
 
     def status(self) -> Dict[str, object]:
         """The JSON status document served by the router."""
@@ -249,9 +239,6 @@ class ClusterRouter:
             raise ServiceError("join weight must be a number") from exc
         if weight <= 0:
             raise ServiceError("join weight must be positive")
-        engines = payload.get("engines", ())
-        if not isinstance(engines, (list, tuple)):
-            raise ServiceError("join engines must be a list")
         cached_keys = payload.get("cached_keys", ())
         if not isinstance(cached_keys, (list, tuple)):
             raise ServiceError("join cached_keys must be a list")
@@ -259,7 +246,6 @@ class ClusterRouter:
             worker_id=worker_id,
             url=url,
             weight=weight,
-            engines=tuple(str(engine) for engine in engines),
             max_concurrency=int(payload.get("max_concurrency", 1) or 1),
             cached_keys={str(key) for key in cached_keys},
         )
@@ -366,22 +352,18 @@ class ClusterRouter:
         """Answer ``spec`` from a cache tier or place it on a worker.
 
         Raises :class:`NoCapacityError` (nothing journaled) when no
-        alive worker supports the spec's engine, :class:`AdmissionError`
-        when the chosen worker's queue is full and :class:`ServiceError`
-        when it refused the job; those two leave the job ``failed``.
+        worker is alive, :class:`AdmissionError` when the chosen worker's
+        queue is full and :class:`ServiceError` when it refused the job;
+        those two leave the job ``failed``.
         """
         spec_hash = spec.canonical_hash()
         with self._lock:
             cached = self.cache.get(spec_hash)
         if cached is None:
             cached = self._lookup(spec_hash)
-        engine = str(spec.config["engine"])
         with self._lock:
-            if cached is None and not self.registry.alive(engine):
-                raise NoCapacityError(
-                    f"no alive worker supporting engine {engine!r} to "
-                    "place the job on"
-                )
+            if cached is None and not self.registry.alive():
+                raise NoCapacityError("no alive worker to place the job on")
             job = self._new_job(spec, spec_hash, deadline)
             if cached is not None:
                 job.cached = True
@@ -731,7 +713,7 @@ class ClusterRouter:
             with self._lock:
                 eligible = [
                     worker
-                    for worker in self.registry.alive(job.engine)
+                    for worker in self.registry.alive()
                     if worker.worker_id not in tried
                 ]
                 chosen = self.policy.choose(job.spec_hash, eligible)

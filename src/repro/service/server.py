@@ -57,7 +57,8 @@ from repro.core.checkpoint import (
     list_checkpoint_frames,
     newest_checkpoint_age,
 )
-from repro.errors import ServiceError
+from repro.core.flow_htp import FlowHTPResult
+from repro.errors import PartitionError, ServiceError
 from repro.service.jobs import (
     AdmissionError,
     JobManager,
@@ -499,10 +500,11 @@ class PartitionServer(HttpServerBase):
             raise _HttpError(404, "this worker runs without a result cache")
         payload = self._json_body(body)
         try:
-            # ``put`` validates the payload's own spec_hash matches the
-            # content address, so a replica can never poison the cache.
+            # Install only a payload labelled with this address whose
+            # result decodes (not proof that it answers the spec).
+            FlowHTPResult.from_dict(payload.get("result"))
             cache.put(spec_hash, payload)
-        except ServiceError as exc:
+        except (PartitionError, ServiceError) as exc:
             raise _HttpError(400, str(exc)) from exc
         return 200, {"spec_hash": spec_hash, "stored": True}
 
@@ -689,10 +691,10 @@ def make_worker_agent(
     """Build the cluster agent for a serving worker (``--join`` wiring).
 
     ``join_kwargs`` carries ``router_url`` plus the optional identity
-    knobs (``worker_id``, ``weight``, ``engines``, ``interval``).  Load
-    and cached-keys callbacks are wired to the live manager; the
-    advertised concurrency is the manager's own.  Imported lazily so a
-    plain single-box ``htp serve`` never touches the cluster package.
+    knobs (``worker_id``, ``weight``, ``interval``).  Load and
+    cached-keys callbacks are wired to the live manager; the advertised
+    concurrency is the manager's own.  Imported lazily so a plain
+    single-box ``htp serve`` never touches the cluster package.
 
     When the manager keeps a checkpoint root, the agent also gets a
     :class:`~repro.service.cluster.replication.CheckpointReplicator`

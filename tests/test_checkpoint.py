@@ -3,8 +3,10 @@
 The headline contract: a ``flow_htp`` run killed at *any* round boundary
 and resumed from its checkpoint directory produces output bit-identical
 to the uninterrupted run — same cost, same partition, same metric
-arrays, same counters-visible behaviour.  The kill is simulated with an
-``abort_check`` that trips after N polls (the same cooperative exit a
+summaries, same counters-visible behaviour.  One level down, a
+``compute_spreading_metric`` resumed from a round state that went
+through JSON ends with byte-identical ``lengths`` and ``flows``.  The
+kill is simulated with an ``abort_check`` that trips after N polls (the same cooperative exit a
 deadline or cancel uses), which exercises exactly the state a SIGKILL
 would leave behind: the newest atomic checkpoint file.
 """
@@ -17,6 +19,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import _kernel as native_kernel
 from repro.core.checkpoint import (
     FlowCheckpointer,
     MetricCheckpoint,
@@ -33,9 +36,14 @@ from repro.core.checkpoint import (
 )
 from repro.core.flow_htp import FlowHTPConfig, flow_htp
 from repro.core.perf import PerfCounters
-from repro.core.spreading_metric import SpreadingMetricConfig
+from repro.core.spreading_metric import (
+    ENGINES,
+    SpreadingMetricConfig,
+    compute_spreading_metric,
+)
 from repro.errors import CheckpointError, SolverAborted
 from repro.htp.hierarchy import binary_hierarchy
+from repro.hypergraph.expansion import to_graph
 from repro.hypergraph.generators import planted_hierarchy_hypergraph
 
 
@@ -63,9 +71,7 @@ def _assert_identical(result, reference):
     assert result.iteration_costs == reference.iteration_costs
     assert result.metric_objectives == reference.metric_objectives
     assert result.partition.to_dict() == reference.partition.to_dict()
-    for ours, theirs in zip(result.metric_results, reference.metric_results):
-        np.testing.assert_array_equal(ours.lengths, theirs.lengths)
-        np.testing.assert_array_equal(ours.flows, theirs.flows)
+    assert result.metric_results == reference.metric_results
 
 
 class TestEncoding:
@@ -276,6 +282,74 @@ class TestBitIdenticalResume:
         assert result.perf.checkpoints_discarded >= 1
         del counters_before
 
+    def test_resumes_from_an_old_format_checkpoint(
+        self, tmp_path, instance, reference, total_polls
+    ):
+        """A frame whose finished outcomes still carry base64 ``lengths``
+        and ``flows`` (the format before results dropped the arrays)
+        resumes through the same decoder to the same result."""
+        hypergraph, spec, config = instance
+        fingerprint = run_fingerprint(hypergraph, spec, config)
+        ckpt = tmp_path / "old-format"
+        polls = {"n": 0}
+
+        def killer():
+            polls["n"] += 1
+            return "crash" if polls["n"] > int(total_polls * 0.75) else False
+
+        with pytest.raises(SolverAborted):
+            flow_htp(
+                hypergraph, spec, config, checkpoint_dir=ckpt,
+                abort_check=killer,
+            )
+        scalars = ["injections", "objective", "rounds", "satisfied"]
+        seq, payload = load_latest_checkpoint(ckpt, fingerprint=fingerprint)
+        assert payload["completed"], "kill landed before iteration 1 ended"
+        in_progress = payload["metric"]
+        for outcome in payload["completed"]:
+            assert sorted(outcome["metric"]) == scalars
+            outcome["metric"]["lengths"] = in_progress["lengths"]
+            outcome["metric"]["flows"] = in_progress["flows"]
+        write_checkpoint_file(ckpt, seq + 1, payload)
+        result = flow_htp(
+            hypergraph, spec, config, checkpoint_dir=ckpt, resume_from=ckpt
+        )
+        _assert_identical(result, reference)
+        assert result.perf.checkpoints_discarded == 0
+        _seq, final = load_latest_checkpoint(ckpt, fingerprint=fingerprint)
+        assert len(final["completed"]) == config.iterations
+        for outcome in final["completed"]:
+            assert sorted(outcome["metric"]) == scalars
+
+    @pytest.mark.parametrize(
+        "broken",
+        [{"partition": {"vertices": []}}, {"counters": "x"}],
+    )
+    def test_undecodable_outcome_starts_cold(
+        self, tmp_path, instance, reference, broken
+    ):
+        """A CRC-valid frame whose finished outcome does not decode (say,
+        one replicated by a faulty peer) is stale: the run starts cold."""
+        hypergraph, spec, config = instance
+        ckpt = tmp_path / "undecodable"
+        outcome = {
+            "cost": 1.0,
+            "partition": reference.partition.to_dict(),
+            "metric": reference.metric_results[0].to_dict(),
+            "counters": {},
+        }
+        outcome.update(broken)
+        write_checkpoint_file(ckpt, 1, {
+            "kind": "flow-htp",
+            "fingerprint": run_fingerprint(hypergraph, spec, config),
+            "iteration": 1,
+            "completed": [outcome],
+            "metric": None,
+        })
+        result = flow_htp(hypergraph, spec, config, resume_from=ckpt)
+        _assert_identical(result, reference)
+        assert result.perf.checkpoints_discarded == 1
+
     def test_completed_run_resume_skips_solver(self, tmp_path, instance):
         hypergraph, spec, config = instance
         ckpt = tmp_path / "completed"
@@ -287,6 +361,43 @@ class TestBitIdenticalResume:
         # Everything was replayed from the final checkpoint: no fresh
         # metric work was needed for already-completed iterations.
         assert second.perf.checkpoint_resumes >= 1
+
+
+class TestMetricResume:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_resumed_metric_is_byte_identical(self, engine):
+        if engine == "native" and not native_kernel.available():
+            pytest.skip("native kernel not built")
+        # 8 rounds, so a mid-run state has visit-order shuffles ahead.
+        hypergraph = planted_hierarchy_hypergraph(48, height=3, seed=3)
+        spec = binary_hierarchy(hypergraph.total_size(), height=3)
+        graph = to_graph(hypergraph, rng=random.Random(11))
+        config = SpreadingMetricConfig(
+            alpha=0.3, delta=0.05, max_rounds=24, seed=11, engine=engine
+        )
+        frames = []
+
+        def capture(state, final):
+            # The hook hands over live arrays: serialize them now, as
+            # the checkpointer does.
+            if not final:
+                frames.append(json.dumps(state.to_payload()))
+
+        uninterrupted = compute_spreading_metric(
+            graph, spec, config, rng=random.Random(config.seed),
+            on_round=capture,
+        )
+        assert len(frames) >= 4, "too few rounds to resume mid-run"
+        state = MetricCheckpoint.from_payload(
+            json.loads(frames[len(frames) // 2])
+        )
+        resumed = compute_spreading_metric(
+            graph, spec, config, rng=random.Random(config.seed),
+            resume=state,
+        )
+        assert resumed.lengths.tobytes() == uninterrupted.lengths.tobytes()
+        assert resumed.flows.tobytes() == uninterrupted.flows.tobytes()
+        assert resumed.summary() == uninterrupted.summary()
 
 
 class TestAbortSemantics:

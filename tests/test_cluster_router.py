@@ -190,30 +190,6 @@ class TestRoutedSubmission:
         finally:
             thread.stop()
 
-    def test_engine_filter_gates_placement(
-        self, tmp_path, router, netlist, hierarchy
-    ):
-        """A worker that only announced 'python' never receives a scipy
-        job — and with no eligible worker the router answers 503."""
-        worker = ServerThread(manager_kwargs={})
-        agent = WorkerAgent(
-            router_url=router.url,
-            worker_url=worker.url,
-            worker_id="python-only",
-            engines=("python",),
-            interval=0.2,
-        )
-        agent.start()
-        try:
-            assert agent.wait_joined(10.0)
-            client = ServiceClient(router.url)
-            with pytest.raises(ServiceClientError) as exc_info:
-                client.submit_spec(_spec(netlist, hierarchy, engine="scipy"))
-            assert exc_info.value.status == 503
-        finally:
-            agent.stop()
-            worker.stop()
-
 
 class TestFailover:
     def test_dead_forward_reroutes_to_live_worker(

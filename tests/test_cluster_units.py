@@ -93,13 +93,12 @@ class TestHashRing:
         assert HashRing({}).arc_shares() == {}
 
 
-def _worker(worker_id, weight=1.0, in_flight=0, engines=()):
+def _worker(worker_id, weight=1.0, in_flight=0):
     return WorkerInfo(
         worker_id=worker_id,
         url=f"http://test/{worker_id}",
         weight=weight,
         in_flight=in_flight,
-        engines=tuple(engines),
     )
 
 
@@ -197,16 +196,6 @@ class TestWorkerRegistry:
         registry.register(_worker("w2"))
         registry.probe_failed("w1")
         assert [w.worker_id for w in registry.alive()] == ["w2"]
-
-    def test_engine_filter(self):
-        registry = WorkerRegistry()
-        registry.register(_worker("any"))  # empty engines = everything
-        registry.register(_worker("scipy-only", engines=("scipy",)))
-        assert {w.worker_id for w in registry.alive("native")} == {"any"}
-        assert {w.worker_id for w in registry.alive("scipy")} == {
-            "any",
-            "scipy-only",
-        }
 
     def test_overdue_budget(self):
         registry = WorkerRegistry(heartbeat_interval=1.0, max_missed=3)
@@ -356,6 +345,20 @@ class TestClusterReplay:
         assert state.jobs == {}
         assert state.replayed == len(old)
         assert state.skipped == len(old)
+
+
+class TestJoin:
+    def test_engines_key_of_an_older_agent_is_ignored(self, tmp_path):
+        router = ClusterRouter(journal_dir=tmp_path / "wal")
+        try:
+            router.join(
+                {"worker_id": "w0", "url": "http://w0.test",
+                 "engines": ["python"]}
+            )
+            assert [w.worker_id for w in router.registry.alive()] == ["w0"]
+            assert "engines" not in router.registry.get("w0").status()
+        finally:
+            router.close()
 
 
 class TestForwardAck:

@@ -8,7 +8,6 @@ faithful round trip — including through an actual ``json.dumps`` /
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.flow_htp import FlowHTPConfig, FlowHTPResult, flow_htp
@@ -96,10 +95,21 @@ class TestFlowHTPResultRoundTrip:
         clone = FlowHTPResult.from_dict(result.to_dict())
         assert len(clone.metric_results) == len(result.metric_results)
         for ours, theirs in zip(clone.metric_results, result.metric_results):
-            assert np.array_equal(ours.lengths, theirs.lengths)
             assert ours.objective == theirs.objective
             assert ours.rounds == theirs.rounds
             assert ours.satisfied == theirs.satisfied
+
+    def test_old_document_with_metric_arrays_loads(self, solved):
+        """A cache blob written when results carried per-edge
+        ``lengths`` and ``flows`` decodes to the same result."""
+        result = solved[2]
+        doc = json.loads(json.dumps(result.to_dict()))
+        for entry in doc["metric_results"]:
+            entry["lengths"] = [0.25, 1.5, 3.0]
+            entry["flows"] = [0.001, 0.301, 0.601]
+        clone = FlowHTPResult.from_dict(doc)
+        assert clone.metric_results == result.metric_results
+        assert clone.to_dict() == result.to_dict()
 
     def test_perf_counters_survive(self, solved):
         _netlist, _hierarchy, result = solved
@@ -110,6 +120,20 @@ class TestFlowHTPResultRoundTrip:
     def test_malformed_payload_raises(self, solved):
         doc = solved[2].to_dict()
         del doc["partition"]
+        with pytest.raises(PartitionError):
+            FlowHTPResult.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["metric_results"][0].pop("rounds"),
+            lambda doc: doc.__setitem__("perf", "x"),
+            lambda doc: doc["partition"]["vertices"][-1].__setitem__(1, 10**6),
+        ],
+    )
+    def test_malformed_field_raises(self, solved, mutate):
+        doc = json.loads(json.dumps(solved[2].to_dict()))
+        mutate(doc)
         with pytest.raises(PartitionError):
             FlowHTPResult.from_dict(doc)
 

@@ -71,6 +71,12 @@ class TestMemoryTier:
         with pytest.raises(ServiceError, match="content addressing"):
             cache.put(key(1), payload(2))
 
+    def test_rejects_payload_without_spec_hash(self):
+        cache = ResultCache()
+        with pytest.raises(ServiceError, match="content addressing"):
+            cache.put(key(1), {"result": {"cost": -1.0}})
+        assert key(1) not in cache
+
 
 class TestDiskTier:
     def test_round_trip_through_disk(self, tmp_path):
@@ -131,6 +137,16 @@ class TestDiskTier:
         assert cache.get(key(4)) is None
         assert cache.counters.cache_corrupt == 1
         assert (cache_dir / f"{key(4)}.corrupt").exists()
+
+    def test_blob_without_spec_hash_is_quarantined_miss(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / f"{key(4)}.json").write_text(
+            json.dumps({"result": {"cost": -1.0}})
+        )
+        cache = ResultCache(cache_dir=cache_dir)
+        assert cache.get(key(4)) is None
+        assert cache.counters.cache_corrupt == 1
 
     def test_legacy_envelope_less_blob_still_loads(self, tmp_path):
         cache_dir = tmp_path / "cache"

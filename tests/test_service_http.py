@@ -10,13 +10,17 @@ counters stand still.
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro.core.flow_htp import FlowHTPResult, flow_htp
 from repro.htp.cost import total_cost
 from repro.htp.hierarchy import binary_hierarchy
-from repro.hypergraph.generators import planted_hierarchy_hypergraph
+from repro.hypergraph.generators import (
+    iscas85_surrogate,
+    planted_hierarchy_hypergraph,
+)
 from repro.service import (
     JobSpec,
     JobState,
@@ -105,6 +109,26 @@ class TestEndToEnd:
         )
         assert perf_after_warm["injections"] == perf_after_cold["injections"]
         assert perf_after_warm["cache_hits"] == 1
+
+    def test_result_document_is_partition_plus_scalars(self, server, client):
+        """The served result carries no per-edge metric arrays: each
+        ``metric_results`` entry is four scalars, and a c1355 result
+        fits in a few KB."""
+        netlist = iscas85_surrogate("c1355", seed=1000)
+        hierarchy = binary_hierarchy(netlist.total_size(), height=4)
+        spec = JobSpec.from_parts(netlist, hierarchy, {"iterations": 1})
+        job_id = client.submit_spec(spec)["job_id"]
+        assert client.wait(job_id, timeout=120)["state"] == "done"
+        with urllib.request.urlopen(
+            f"{server.url}/jobs/{job_id}/result", timeout=10
+        ) as response:
+            body = response.read()
+        entries = json.loads(body)["result"]["metric_results"]
+        assert len(entries) == 1
+        assert sorted(entries[0]) == [
+            "injections", "objective", "rounds", "satisfied",
+        ]
+        assert len(body) < 5 * 1024
 
     def test_native_submission_hits_the_scipy_result(
         self, client, spec, netlist, hierarchy
@@ -293,6 +317,23 @@ class TestHttpProtocol:
             assert client.jobs()["jobs"] == []
         finally:
             thread.stop()
+
+    @pytest.mark.parametrize(
+        "body", [{"result": {"cost": -1}}, {"result": "x"}]
+    )
+    def test_cache_push_refuses_a_payload_it_cannot_serve(
+        self, client, spec, body
+    ):
+        spec_hash = spec.canonical_hash()
+        with pytest.raises(ServiceClientError) as exc_info:
+            client.cache_push(spec_hash, body)
+        assert exc_info.value.status == 400
+        with pytest.raises(ServiceClientError) as exc_info:
+            client.cache_lookup(spec_hash)
+        assert exc_info.value.status == 404
+        submitted = client.submit_spec(spec)
+        assert submitted["cached"] is False
+        assert client.wait(submitted["job_id"])["state"] == "done"
 
     def test_result_before_done_is_409(self, client, netlist, hierarchy):
         release = threading.Event()
