@@ -2,8 +2,9 @@
 
 Set ``REPRO_BENCH_SCALE`` (e.g. ``0.25``) to shrink the surrogate
 circuits for a quick smoke run; the default ``1.0`` reproduces the
-paper-sized instances.  Reproduced tables are written to
-``benchmarks/results/`` and printed.
+paper-sized instances.  Reproduced tables are printed, and written to
+``benchmarks/results/`` only at full scale (a smoke run writes them to
+a temporary directory, so it never rewrites a tracked table).
 
 Pass ``--bench-json PATH`` to also write a machine-readable perf record
 (operation -> median seconds + perf counters) — the repo keeps the
@@ -108,8 +109,15 @@ def experiment_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory collecting the regenerated tables."""
+def results_dir(experiment_config, tmp_path_factory) -> Path:
+    """Directory collecting the regenerated tables.
+
+    Only a full-scale run (``REPRO_BENCH_SCALE`` unset or ``1.0``)
+    refreshes the tracked tables in ``benchmarks/results/``; a smoke run
+    at any other scale writes to a temporary directory instead.
+    """
+    if experiment_config.scale != 1.0:
+        return tmp_path_factory.mktemp("results")
     directory = Path(__file__).parent / "results"
     directory.mkdir(exist_ok=True)
     return directory
@@ -124,4 +132,4 @@ def partition_store() -> dict:
 def emit(results_dir: Path, name: str, text: str) -> None:
     """Write a reproduced table to disk and echo it."""
     (results_dir / name).write_text(text + "\n")
-    print(f"\n{text}\n[written to benchmarks/results/{name}]")
+    print(f"\n{text}\n[written to {results_dir / name}]")

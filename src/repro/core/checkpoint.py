@@ -141,6 +141,8 @@ def read_checkpoint_file(path: Union[str, Path]) -> Dict[str, object]:
     if not isinstance(envelope, dict) or "payload" not in envelope:
         raise CheckpointError(f"checkpoint {path} has no payload envelope")
     payload = envelope["payload"]
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} payload is not an object")
     stamped = envelope.get("crc32")
     if stamped != payload_crc(payload):
         raise CheckpointError(
@@ -520,15 +522,50 @@ class FlowCheckpointer:
                 pass
 
 
+def _flow_frame_problem(
+    payload: Dict[str, object], iterations: int
+) -> Optional[str]:
+    """Why a CRC-valid payload cannot resume a run of ``iterations``.
+
+    A resumable frame is a ``flow-htp`` payload whose ``completed`` is a
+    list, whose ``iteration`` is an int equal to ``len(completed)`` and
+    at most ``iterations``, and whose ``metric`` is null or an object —
+    what :class:`FlowCheckpointer` writes.  Returns None for such a
+    frame.
+    """
+    if payload.get("kind") != "flow-htp":
+        return f"payload kind {payload.get('kind')!r} is not flow-htp"
+    completed = payload.get("completed")
+    if not isinstance(completed, list):
+        return f"completed is {type(completed).__name__}, not a list"
+    iteration = payload.get("iteration")
+    if (
+        not isinstance(iteration, int)
+        or iteration != len(completed)
+        or iteration > iterations
+    ):
+        return (
+            f"iteration {iteration!r} does not follow {len(completed)} "
+            f"completed outcomes of a {iterations}-iteration run"
+        )
+    metric = payload.get("metric")
+    if metric is not None and not isinstance(metric, dict):
+        return f"metric is {type(metric).__name__}, not null or an object"
+    return None
+
+
 def load_flow_resume(
     directory: Union[str, Path],
     fingerprint: str,
+    iterations: int,
     counters: Optional[PerfCounters] = None,
 ) -> Optional[Dict[str, object]]:
     """The newest matching flow-htp payload under ``directory``, or None.
 
-    Wrong-kind payloads are treated exactly like stale fingerprints:
-    counted and skipped, never raised.
+    ``iterations`` is the resuming run's iteration count.  A payload of
+    the wrong kind, or one whose top level is not a frame that run
+    could have written (see :func:`_flow_frame_problem`), is treated
+    exactly like a stale fingerprint: counted and skipped, never raised.
     """
     found = load_latest_checkpoint(
         directory, fingerprint=fingerprint, counters=counters
@@ -536,13 +573,12 @@ def load_flow_resume(
     if found is None:
         return None
     _seq, payload = found
-    if payload.get("kind") != "flow-htp":
+    problem = _flow_frame_problem(payload, iterations)
+    if problem is not None:
         if counters is not None:
             counters.checkpoints_discarded += 1
             counters.record_degradation(
-                "checkpoint-stale",
-                f"payload kind {payload.get('kind')!r} is not flow-htp",
-                site="checkpoint",
+                "checkpoint-stale", problem, site="checkpoint"
             )
         return None
     return payload

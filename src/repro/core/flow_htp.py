@@ -7,9 +7,12 @@ paper's conclusions, which expects extra constructions per metric to be
 nearly free because the metric dominates the runtime.  That holds at
 small ``delta``: with ``delta=0.03`` and ``max_rounds=1000`` the metric
 takes 70-79% of a solve (``benchmarks/results/scaling.txt``).  At the
-defaults it does not: a traced c2670 solve spends 71% in
-``construct_partition`` and 20% in the metric, so each extra
-construction adds real time.
+defaults it does not.  On eight c2670 surrogates
+(``iscas85_surrogate("c2670", seed=1000 + i)``, a height-4 binary
+hierarchy, ``FlowHTPConfig(seed=i)``, i = 0-7; a 2-vCPU VM without the
+native kernel) a solve takes 0.84 s at the median and spends 65% in
+``construct_partition``, 3% in ``total_cost`` and 31% in the metric, so
+each extra construction adds real time.
 
 Every iteration is a pure function of a pair of pre-drawn seeds
 ``(metric_seed, construction_seeds)``, drawn from the master RNG in
@@ -60,8 +63,9 @@ class FlowHTPConfig:
         Partitions constructed per metric (the conclusions' extension; 1
         reproduces the paper's Algorithm 1 exactly).  Nearly free only
         at small ``delta``, where the metric takes 70-79% of a solve;
-        at the defaults construction takes 71% of a c2670 solve against
-        the metric's 20%, so each extra construction adds real time.
+        at the defaults construction takes 65% of a c2670 solve against
+        the metric's 31% (see the module docstring), so each extra
+        construction adds real time.
     find_cut_restarts:
         Random seeds tried inside each ``find_cut`` call.
     find_cut_strategy:
@@ -222,6 +226,9 @@ def _run_flow_iteration(
     iteration_best = float("inf")
     iteration_partition: Optional[PartitionTree] = None
     phase_start = time.perf_counter()
+    # Every construction reads the same lengths; list items index
+    # faster than array items and are already Python floats.
+    lengths = metric.lengths.tolist()
     for construct_seed in construction_seeds:
         if abort_check is not None:
             reason = abort_check()
@@ -233,7 +240,7 @@ def _run_flow_iteration(
             hypergraph,
             graph,
             spec,
-            metric.lengths,
+            lengths,
             rng=random.Random(construct_seed),
             find_cut_restarts=config.find_cut_restarts,
             strategy=config.find_cut_strategy,
@@ -332,15 +339,14 @@ def flow_htp(
         resume_payload = None
         if resume_from is not None:
             resume_payload = load_flow_resume(
-                resume_from, fingerprint, counters=counters
+                resume_from, fingerprint, config.iterations, counters=counters
             )
         if resume_payload is not None:
             try:
                 completed_outcomes = [
-                    decode_outcome(doc)
-                    for doc in resume_payload.get("completed", [])
+                    decode_outcome(doc) for doc in resume_payload["completed"]
                 ]
-                start_iteration = int(resume_payload.get("iteration", 0))
+                start_iteration = resume_payload["iteration"]
                 metric_doc = resume_payload.get("metric")
                 metric_resume = (
                     MetricCheckpoint.from_payload(metric_doc)

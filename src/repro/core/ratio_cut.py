@@ -12,11 +12,12 @@ exact exponential-time reference for small instances.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.construct import _BlockCutCounter, _restricted_prim
+from repro.core.construct import _Block, _grow
 from repro.core.separator import separator_spec
 from repro.core.spreading_metric import (
     SpreadingMetricConfig,
@@ -81,42 +82,29 @@ def ratio_cut(
 
     total = hypergraph.total_size()
     candidate_set = set(hypergraph.nodes())
-    counter = _BlockCutCounter(hypergraph, candidate_set)
+    block = _Block(hypergraph, graph, lengths, candidate_set)
     best: Optional[RatioCutResult] = None
 
     for _attempt in range(max(1, restarts)):
         seed = rng.randrange(hypergraph.num_nodes)
         restart_order = list(candidate_set)
         rng.shuffle(restart_order)
-        region: List[int] = []
+        # The block is the whole netlist, so local ids are node ids.
+        region, _sizes, cuts = _grow(block, seed, restart_order, math.inf)
         size = 0.0
-        cut = 0.0
-        inside_count = {}
-        for node, _cost, _edge in _restricted_prim(
-            graph, seed, lengths, candidate_set, restart_order
-        ):
-            region.append(node)
+        # Every proper prefix; the last one is the whole netlist.
+        for prefix, (node, cut) in enumerate(zip(region[:-1], cuts), 1):
             size += hypergraph.node_size(node)
-            for net_id in hypergraph.incident_nets(node):
-                net_pins = counter.block_pins.get(net_id, 0)
-                if net_pins <= 1:
-                    continue
-                inside_count[net_id] = inside_count.get(net_id, 0) + 1
-                if inside_count[net_id] == 1:
-                    cut += hypergraph.net_capacity(net_id)
-                elif inside_count[net_id] == net_pins:
-                    cut -= hypergraph.net_capacity(net_id)
-            if len(region) == hypergraph.num_nodes:
-                break
             other = total - size
             if other <= 0:
                 break
             ratio = cut / (size * other)
             if best is None or ratio < best.ratio:
                 best = RatioCutResult(
-                    side=sorted(region), cut_capacity=cut, ratio=ratio
+                    side=sorted(region[:prefix]),
+                    cut_capacity=cut,
+                    ratio=ratio,
                 )
-        inside_count.clear()
     assert best is not None
     return best
 

@@ -136,9 +136,8 @@ class SpreadingMetricResult:
     ``flows`` the final edge flows, ``objective`` the LP objective value
     ``sum_e c(e) d(e)`` of the metric, ``injections`` the number of
     flow-injection steps, ``rounds`` the number of passes over the active
-    set, ``satisfied`` whether every spreading constraint held at
-    termination, and ``counters`` the perf instrumentation when the
-    caller supplied a :class:`PerfCounters`.
+    set and ``satisfied`` whether every spreading constraint held at
+    termination.
     """
 
     lengths: np.ndarray
@@ -147,7 +146,6 @@ class SpreadingMetricResult:
     injections: int
     rounds: int
     satisfied: bool
-    counters: Optional[PerfCounters] = None
 
     def summary(self) -> "MetricSummary":
         """The scalars a FLOW result keeps once the arrays are spent."""
@@ -345,7 +343,6 @@ def compute_spreading_metric(
         injections=injections,
         rounds=rounds,
         satisfied=not active,
-        counters=counters,
     )
 
 

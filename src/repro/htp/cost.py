@@ -53,11 +53,34 @@ def total_cost(
     partition: PartitionTree,
     spec: HierarchySpec,
 ) -> float:
-    """Total interconnection cost ``sum_e cost(e)`` of a partition."""
-    return sum(
-        net_cost(hypergraph, partition, spec, net_id)
-        for net_id in range(hypergraph.num_nets)
-    )
+    """Total interconnection cost ``sum_e cost(e)`` of a partition.
+
+    Bit-identical to summing :func:`net_cost` over the nets in id order:
+    each net's cost is built in the same order (``total = 0.0``, then
+    ``total += w_l * span_l`` level by level, then ``total * c(e)``),
+    but every node's ancestor chain is fetched once instead of one
+    :meth:`~repro.htp.partition.PartitionTree.block_at_level` call per
+    pin per level.  A net held by one block at some level is held by
+    one block at every level above it, so its spans there are 0.
+    """
+    weights = [spec.weight(level) for level in range(spec.num_levels)]
+    chains = [
+        partition.ancestor_chain(partition.leaf_of(v))
+        for v in range(hypergraph.num_nodes)
+    ]
+    capacities = hypergraph.net_capacities()
+    costs: List[float] = []
+    for net_id, pins in enumerate(hypergraph.nets()):
+        pin_chains = [chains[v] for v in pins]
+        total = 0.0
+        span = 0
+        for level, weight in enumerate(weights):
+            if level == 0 or span:
+                blocks = len({chain[level] for chain in pin_chains})
+                span = blocks if blocks > 1 else 0
+            total += weight * span
+        costs.append(total * capacities[net_id])
+    return sum(costs)
 
 
 def induced_metric(

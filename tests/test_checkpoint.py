@@ -133,6 +133,18 @@ class TestCheckpointFiles:
         )
         assert counters.checkpoints_discarded == 1
 
+    def test_non_object_payload_is_discarded_not_raised(self, tmp_path):
+        counters = PerfCounters()
+        write_checkpoint_file(tmp_path, 1, {"fingerprint": "f", "n": 1})
+        listed = write_checkpoint_file(tmp_path, 2, ["fingerprint", "f"])
+        with pytest.raises(CheckpointError, match="not an object"):
+            read_checkpoint_file(listed)
+        seq, payload = load_latest_checkpoint(
+            tmp_path, fingerprint="f", counters=counters
+        )
+        assert (seq, payload["n"]) == (1, 1)
+        assert counters.checkpoints_discarded == 1
+
     def test_missing_directory_is_none(self, tmp_path):
         assert load_latest_checkpoint(tmp_path / "absent") is None
         assert newest_checkpoint_age(tmp_path / "absent") is None
@@ -350,6 +362,45 @@ class TestBitIdenticalResume:
         _assert_identical(result, reference)
         assert result.perf.checkpoints_discarded == 1
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"completed": 5},
+            {"iteration": "x"},
+            {"iteration": 99, "completed": []},
+            {"iteration": 0},
+            {"metric": "x"},
+        ],
+        ids=[
+            "completed-not-a-list",
+            "iteration-not-an-int",
+            "iteration-past-the-run",
+            "iteration-behind-completed",
+            "metric-not-an-object",
+        ],
+    )
+    def test_inconsistent_frame_starts_cold(
+        self, tmp_path, instance, reference, change
+    ):
+        """A CRC-valid, right-fingerprint frame whose top level the
+        checkpointer could not have written (say, one pushed by a faulty
+        peer over ``PUT /ckpt``) is stale: counted once, and the run
+        starts cold instead of raising or resuming into a wrong result."""
+        hypergraph, spec, config = instance
+        finished = tmp_path / "finished"
+        flow_htp(hypergraph, spec, config, checkpoint_dir=finished)
+        fingerprint = run_fingerprint(hypergraph, spec, config)
+        _seq, payload = load_latest_checkpoint(finished, fingerprint=fingerprint)
+        assert payload["iteration"] == len(payload["completed"]) == 2
+        payload.update(change)
+        ckpt = tmp_path / "inconsistent"
+        write_checkpoint_file(ckpt, 1, payload)
+        result = flow_htp(hypergraph, spec, config, resume_from=ckpt)
+        _assert_identical(result, reference)
+        assert len(result.iteration_costs) == config.iterations
+        assert result.perf.checkpoints_discarded == 1
+        assert result.perf.checkpoint_resumes == 0
+
     def test_completed_run_resume_skips_solver(self, tmp_path, instance):
         hypergraph, spec, config = instance
         ckpt = tmp_path / "completed"
@@ -419,7 +470,7 @@ class TestAbortSemantics:
                 abort_check=killer,
             )
         loaded = load_flow_resume(
-            ckpt, run_fingerprint(hypergraph, spec, config)
+            ckpt, run_fingerprint(hypergraph, spec, config), config.iterations
         )
         assert loaded is not None
         metric_doc = loaded.get("metric")

@@ -210,6 +210,25 @@ class TestVCycle:
         result = multilevel_flow_htp(tiny, spec, MultilevelFlowConfig(seed=1))
         assert partition_violations(tiny, result.partition, spec) == []
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 1: Algorithm 3 peels any number of pieces per "
+            "block, so a coarse FLOW solve can overfill a vertex; the "
+            "item 1 fix (pack pieces into K_l children) must flip this"
+        ),
+    )
+    def test_height4_rent10000_seed3011_is_k_feasible(self):
+        """The benchmark's multilevel-rent ``--seed 3`` instance 11: the
+        returned tree has "vertex 6 at level 1 has 6 children > K_1 = 2"."""
+        netlist = rent_hypergraph(10000, seed=3011)
+        spec = binary_hierarchy(netlist.total_size(), height=4)
+        result = multilevel_flow_htp(
+            netlist, spec, MultilevelFlowConfig(seed=11)
+        )
+        assert result.cost == total_cost(netlist, result.partition, spec)
+        assert partition_violations(netlist, result.partition, spec) == []
+
     def test_rejects_bad_knobs(self):
         from repro.errors import PartitionError
 
